@@ -2,9 +2,8 @@
 # only the baked-in python toolchain (numpy/scipy/pytest).
 #
 #   make test           tier-1 test suite + report smoke + queue chaos
-#                       smoke + service smoke + kernels smoke + profile
-#                       smoke + conformance smoke + generations smoke
-#                       (CI gate)
+#                       smoke + kernels smoke + profile smoke +
+#                       conformance smoke + generations smoke (CI gate)
 #   make smoke          runner `list` + every experiment at tiny scale (JSON)
 #   make recipes-smoke  every checked-in recipe at tiny scale on the queue
 #                       backend (1 worker), byte-diffed against serial
@@ -13,12 +12,6 @@
 #                       serial; exercises `runner queue status` live
 #   make report-smoke   two-seed recipe -> self-contained report.html,
 #                       checked for well-formedness + aggregation
-#   make service-smoke  `runner serve` end to end: POST a sweep over
-#                       HTTP, SIGKILL-and-replace the worker mid-task,
-#                       served report.html byte-diffed against serial
-#   make serve          run the HTTP experiment service on the default
-#                       cache (port 8321)
-#   make figures        render all matplotlib paper figures into figures/
 #   make bench-smoke    tier-1 tests + a 2-job orchestrated Fig 12 smoke
 #   make bench          full pytest-benchmark suite (cold caches)
 #   make bench-backends serial vs process vs 2-worker queue timings
@@ -53,16 +46,15 @@ PYTHON ?= python
 JOBS ?= 2
 export PYTHONPATH := src
 
-.PHONY: test smoke recipes-smoke queue-smoke report-smoke service-smoke \
+.PHONY: test smoke recipes-smoke queue-smoke report-smoke \
         kernels-smoke profile-smoke conformance-smoke generations-smoke \
-        figures bench-smoke bench bench-backends bench-kernels golden \
-        worker serve clean-cache
+        bench-smoke bench bench-backends bench-kernels golden \
+        worker clean-cache
 
 test:
 	$(PYTHON) -m pytest -x -q
 	$(MAKE) report-smoke
 	$(MAKE) queue-smoke
-	$(MAKE) service-smoke
 	$(MAKE) kernels-smoke
 	$(MAKE) profile-smoke
 	$(MAKE) conformance-smoke
@@ -73,9 +65,6 @@ report-smoke:
 
 queue-smoke:
 	$(PYTHON) scripts/queue_smoke.py
-
-service-smoke:
-	$(PYTHON) scripts/service_smoke.py
 
 kernels-smoke:
 	$(PYTHON) scripts/kernels_smoke.py
@@ -97,14 +86,6 @@ smoke:
 		--format json --out .smoke-results --progress
 	@echo "smoke artifacts in .smoke-results/"
 
-figures:
-	@if $(PYTHON) -c "import matplotlib" 2>/dev/null; then \
-		$(PYTHON) -m repro.experiments.runner run \
-			--jobs $(JOBS) --format mpl --out figures; \
-	else \
-		echo "matplotlib not installed; skipping figure rendering"; \
-	fi
-
 bench-smoke: test
 	$(PYTHON) -m repro.experiments.runner run fig12 \
 		--jobs $(JOBS) --cache-dir .repro_cache/bench-smoke --progress
@@ -123,9 +104,6 @@ bench-kernels:
 
 worker:
 	$(PYTHON) -m repro.experiments.runner worker --poll-interval 0.2
-
-serve:
-	$(PYTHON) -m repro.experiments.runner serve
 
 golden:
 	$(PYTHON) -m pytest tests/test_golden.py tests/test_experiment_api.py \

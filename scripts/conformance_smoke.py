@@ -21,7 +21,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from repro.defenses import DEFENSE_CLASSES  # noqa: E402
-from repro.dram.timing import timing_for_speed  # noqa: E402
+from repro.dram.timing import device_for  # noqa: E402
 from repro.sim.config import SystemConfig  # noqa: E402
 from repro.sim.conformance import TimingChecker, check_run  # noqa: E402
 from repro.sim.engine import MemorySystem  # noqa: E402
@@ -47,7 +47,7 @@ def build_system(suite: str, defense_name, speed: int) -> MemorySystem:
         rows_per_bank=4096,
         requests_per_core=400,
         mlp_per_core=2,
-        timing=timing_for_speed(speed),
+        timing=device_for(speed),
         defense_epoch_ns=100_000.0 if defense_name else None,
     )
     profile = profile_by_name(suite)
@@ -93,7 +93,7 @@ def main() -> int:
     system = build_system("ycsb", "PARA", 3200)
     log = []
     system.run(command_log=log)
-    timing = timing_for_speed(3200)
+    timing = device_for(3200)
     broken = dataclasses.replace(
         timing,
         tRCD=4 * timing.tRCD,

@@ -31,7 +31,6 @@ from repro.dram.timing import (
     TimingParameters,
     all_device_names,
     device_for,
-    timing_for_speed,
 )
 from repro.dram.commands import Command, CommandKind
 from repro.dram.bank import Bank, BankState
@@ -56,7 +55,6 @@ __all__ = [
     "DDR5_4800",
     "all_device_names",
     "device_for",
-    "timing_for_speed",
     "Command",
     "CommandKind",
     "Bank",

@@ -16,9 +16,7 @@ JESD209-4B and the DDR5 preset JESD79-5B (4800B bin, 16 Gb tRFC1),
 with the same convention.
 
 Look presets up through :func:`device_for` (``"DDR5-4800"``,
-``"LPDDR4"``, or a bare DDR4 rate like ``3200``);
-:func:`timing_for_speed` remains as the deprecated DDR4-only shim the
-pre-generation code used.
+``"LPDDR4"``, or a bare DDR4 rate like ``3200``).
 """
 
 from __future__ import annotations
@@ -513,16 +511,3 @@ def device_for(name_or_rate) -> TimingParameters:
         return generation.preset_for(generation.default_rate)
     return generation.preset_for(int(rate_text))
 
-
-def timing_for_speed(data_rate_mts: int) -> TimingParameters:
-    """Return the preset :class:`TimingParameters` for a speed grade.
-
-    Deprecated DDR4-only shim kept for the pre-generation call sites;
-    new code should use :func:`device_for`, which also resolves
-    LPDDR4/DDR5 specs.
-
-    Raises:
-        ValueError: if ``data_rate_mts`` is not one of the supported
-            DDR4 speed grades, naming the grades that exist.
-    """
-    return GENERATIONS["DDR4"].preset_for(data_rate_mts)

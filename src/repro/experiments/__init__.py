@@ -7,7 +7,7 @@ module-level ``run(scale)`` returning a rich result object whose
 ``render()`` emits the paper-style text table.  The Experiment API
 additionally yields a structured
 :class:`~repro.experiments.api.ResultSet` artifact that the ``text``,
-``json``, and ``mpl`` renderers consume -- see EXPERIMENTS.md.
+``json``, and ``html`` renderers consume -- see EXPERIMENTS.md.
 
 :class:`repro.experiments.common.ExperimentScale` carries the scale
 knobs; defaults are laptop-scale, and paper-scale values are

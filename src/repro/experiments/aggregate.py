@@ -13,8 +13,8 @@ EXPERIMENTS.md).  This module turns those per-seed ResultSets into
 * scalars aggregate the same way (``n_mixes`` stays a plain number,
   a seed-dependent headline becomes ``<name>_mean`` etc.);
 * every PlotSpec is rewritten to plot the mean column and gains a
-  ``ybands`` min--max envelope, which both the SVG plotter and the
-  mpl renderer shade behind the mean line;
+  ``ybands`` min--max envelope, which the SVG plotter shades behind
+  the mean line;
 * the layout is regenerated generically (aggregated artifacts get
   uniform stats tables rather than each harness's bespoke text), so
   the existing text/CSV/LaTeX renderers all show the stats columns.

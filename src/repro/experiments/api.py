@@ -6,7 +6,7 @@ the sweep into orchestrated :class:`~repro.orchestration.TaskGroup`\\ s)
 and *how* to assemble the outputs (``reduce`` returns the harness's
 rich result object); ``result_set`` then converts that rich result
 into a :class:`ResultSet` -- a structured, JSON-round-trippable
-artifact that any registered renderer (``text``, ``json``, ``mpl``;
+artifact that any registered renderer (``text``, ``json``, ``html``;
 see :mod:`repro.experiments.render`) can consume.
 
 The split keeps three consumers happy at once:
@@ -135,7 +135,7 @@ class ResultTable:
 
 @dataclass(frozen=True)
 class PlotSpec:
-    """A declarative chart over one table (consumed by the mpl renderer).
+    """A declarative chart over one table (drawn by the SVG plotter).
 
     ``kind`` is one of ``line``, ``bar``, ``scatter``.  ``x`` and ``y``
     name columns of ``table``; ``series`` optionally names a column to
@@ -144,8 +144,8 @@ class PlotSpec:
     ``ybands`` optionally attaches an error band to a ``y`` column:
     each entry is ``(y_column, low_column, high_column)``, all naming
     columns of ``table``.  The seed-matrix aggregation layer
-    (:mod:`repro.experiments.aggregate`) emits these so the SVG and
-    mpl renderers can shade min--max envelopes around mean lines.
+    (:mod:`repro.experiments.aggregate`) emits these so the SVG
+    plotter can shade min--max envelopes around mean lines.
     """
 
     name: str
@@ -186,9 +186,9 @@ class PlotSpec:
 def split_series(table: "ResultTable", spec: "PlotSpec") -> Dict[str, list]:
     """Group a table's rows into plotted series per the spec.
 
-    The single definition both chart paths (the mpl renderer and the
-    pure-python SVG plotter) draw from, so an SVG chart and a PNG of
-    the same artifact can never disagree on what the series are.
+    One series per distinct value of the ``spec.series`` column, in
+    first-seen order, or a single unnamed series when the spec names
+    no series column.
     """
     if spec.series is None:
         return {"": list(table.rows)}
@@ -214,7 +214,7 @@ class TableBlock:
     applied); the corresponding *typed* values live in
     ``ResultSet.tables``.  Keeping presentation separate from data is
     what lets the text renderer reproduce the paper-style tables
-    byte-for-byte while the json/mpl renderers consume typed rows.
+    byte-for-byte while the json/csv renderers consume typed rows.
     """
 
     headers: Tuple[str, ...]
@@ -259,7 +259,7 @@ class ResultSet:
     * ``layout`` -- the presentation program replayed by the text
       renderer: text blocks are emitted verbatim, table blocks through
       :func:`display_table`.
-    * ``plots`` -- declarative chart specs for the mpl renderer.
+    * ``plots`` -- declarative chart specs for the SVG plotter.
     * ``meta`` -- run context (experiment scale echo etc.), JSON-safe.
 
     ``to_json_dict``/``from_json_dict`` round-trip exactly (verified by

@@ -12,10 +12,7 @@ profile summary).
 
 The page is **self-contained by construction**: one file, all CSS in
 a ``<style>`` block, charts as inline SVG, no scripts, no external
-URLs.  When matplotlib happens to be installed the charts can instead
-be embedded as base64 PNGs (``prefer_mpl=True``, or automatically for
-any spec the SVG plotter refuses); the page stays a single file
-either way.  ``make report-smoke`` asserts these properties against
+URLs.  ``make report-smoke`` asserts these properties against
 html.parser.
 
 Entry points::
@@ -29,8 +26,6 @@ See REPORTS.md for the pipeline walkthrough.
 
 from __future__ import annotations
 
-import base64
-import io
 from html import escape
 from typing import Any, Dict, List, Optional, Sequence
 
@@ -44,7 +39,7 @@ from repro.experiments.api import (
 from repro.experiments.svgplot import SvgPlotError, render_plot
 from repro.orchestration.hashing import stable_hash
 
-__all__ = ["REPORT_CSS", "build_report"]
+__all__ = ["build_report"]
 
 _CSS = """\
 :root { color-scheme: light; }
@@ -111,77 +106,34 @@ pre.note {
 }
 figure.plot { margin: 16px 0; overflow-x: auto; }
 figure.plot figcaption { font-size: 12px; color: #52514e; }
-figure.plot img { max-width: 100%; }
 p.plot-error { color: #9d3c00; font-size: 13px; }
 footer { color: #52514e; font-size: 12.5px; text-align: center; }
 """
 
-#: The report stylesheet, shared with the experiment service's landing
-#: page so served pages and report.html read as one product.
-REPORT_CSS = _CSS
-
 
 # ----------------------------------------------------------------------
-# Charts: pure-SVG first, embedded mpl PNG as the alternative
+# Charts
 # ----------------------------------------------------------------------
 
 
-def _mpl_png_data_uri(result_set: ResultSet, spec: PlotSpec) -> str:
-    """The spec drawn by matplotlib, as a base64 data URI (or raise)."""
-    from repro.experiments.render import MplRenderer
+def _plot_html(result_set: ResultSet, spec: PlotSpec) -> str:
+    """One chart as a ``<figure>`` of inline SVG; never raises.
 
-    renderer = MplRenderer()
-    plt = renderer._matplotlib()
-    figure = renderer._draw(plt, result_set, spec)
-    try:
-        buffer = io.BytesIO()
-        figure.savefig(buffer, format="png", bbox_inches="tight", dpi=120)
-    finally:
-        # A failing savefig is swallowed by _plot_html; the figure
-        # must still leave pyplot's manager or big reports leak.
-        plt.close(figure)
-    payload = base64.b64encode(buffer.getvalue()).decode("ascii")
-    return f"data:image/png;base64,{payload}"
-
-
-def _plot_html(
-    result_set: ResultSet, spec: PlotSpec, prefer_mpl: bool
-) -> str:
-    """One chart as a ``<figure>``; never raises.
-
-    The pure-python SVG plotter is the default (no dependencies, text
-    diffs, crisp at any zoom).  matplotlib -- when installed -- serves
-    as the alternative body: preferred with ``prefer_mpl``, and the
-    fallback for any spec the SVG plotter cannot draw.
+    A spec the SVG plotter refuses becomes an error paragraph, so one
+    bad chart cannot sink the whole page.
     """
     caption = escape(spec.title or f"{result_set.experiment}:{spec.name}")
-    bodies = [_svg_body, _mpl_body]
-    if prefer_mpl:
-        bodies.reverse()
-    errors = []
-    for body in bodies:
-        try:
-            return (
-                f'<figure class="plot">{body(result_set, spec)}'
-                f"<figcaption>{caption}</figcaption></figure>"
-            )
-        except Exception as error:  # noqa: BLE001 -- report both paths
-            errors.append(f"{body.__name__.strip('_')}: {error}")
-    detail = escape("; ".join(errors))
+    try:
+        body = render_plot(result_set, spec)
+    except Exception as error:  # noqa: BLE001 -- degrade, never raise
+        return (
+            f'<p class="plot-error">plot {escape(spec.name)!s} could not '
+            f"be rendered ({escape(str(error))})</p>"
+        )
     return (
-        f'<p class="plot-error">plot {escape(spec.name)!s} could not '
-        f"be rendered ({detail})</p>"
+        f'<figure class="plot">{body}'
+        f"<figcaption>{caption}</figcaption></figure>"
     )
-
-
-def _svg_body(result_set: ResultSet, spec: PlotSpec) -> str:
-    return render_plot(result_set, spec)
-
-
-def _mpl_body(result_set: ResultSet, spec: PlotSpec) -> str:
-    uri = _mpl_png_data_uri(result_set, spec)
-    alt = escape(spec.title or spec.name)
-    return f'<img src="{uri}" alt="{alt}"/>'
 
 
 # ----------------------------------------------------------------------
@@ -409,9 +361,7 @@ def _layout_html(result_set: ResultSet) -> str:
     return "".join(parts)
 
 
-def _section(
-    result_set: ResultSet, anchor: str, prefer_mpl: bool
-) -> str:
+def _section(result_set: ResultSet, anchor: str) -> str:
     chips = []
     paper_ref = result_set.meta.get("paper_ref")
     if paper_ref:
@@ -434,10 +384,7 @@ def _section(
         if provenance
         else ""
     )
-    plots = "".join(
-        _plot_html(result_set, spec, prefer_mpl)
-        for spec in result_set.plots
-    )
+    plots = "".join(_plot_html(result_set, spec) for spec in result_set.plots)
     return (
         f'<section class="experiment" id="{escape(anchor)}">'
         f"<h2>{escape(result_set.title)}</h2>"
@@ -460,7 +407,6 @@ def build_report(
     *,
     title: str = "Svärd reproduction report",
     subtitle: str = "",
-    prefer_mpl: bool = False,
 ) -> str:
     """The full self-contained HTML page for ``result_sets``."""
     result_sets = list(result_sets)
@@ -475,7 +421,7 @@ def build_report(
         anchor = (
             base if anchors[base] == 1 else f"{base}-{anchors[base]}"
         )
-        sections.append(_section(result_set, anchor, prefer_mpl))
+        sections.append(_section(result_set, anchor))
         toc.append(
             f'<li><a href="#{escape(anchor)}">'
             f"{escape(result_set.title)}</a></li>"

@@ -7,7 +7,6 @@ Usage::
     python -m repro.experiments.runner run fig5 fig12    # a subset
     python -m repro.experiments.runner run fig12 --jobs 4 --progress
     python -m repro.experiments.runner run fig12 --format json --out results/
-    python -m repro.experiments.runner run --format mpl --out figures/
 
     python -m repro.experiments.runner recipe list       # checked-in sweeps
     python -m repro.experiments.runner recipe run fig12-paper-grid \\
@@ -62,7 +61,7 @@ from repro.experiments.recipes import (
     get_recipe,
 )
 from repro.experiments.render import (
-    RendererUnavailable,
+    atomic_write_text,
     get_renderer,
     renderer_names,
 )
@@ -163,8 +162,7 @@ def _add_render_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--out", default=None, metavar="DIR",
-        help="write rendered artifacts into DIR instead of stdout "
-             "(--format mpl defaults to figures/)",
+        help="write rendered artifacts into DIR instead of stdout",
     )
 
 
@@ -350,21 +348,16 @@ def _print_orchestration_stats(orch: OrchestrationContext) -> None:
 def _emit_result_set(
     result_set, renderer, format_name: str, out_dir: Optional[Path],
     json_documents: List[dict], html_sections: List,
-) -> Optional[int]:
+) -> None:
     """Render one ResultSet to stdout or ``out_dir``.
 
-    Shared by ``run`` and ``recipe run``; returns an exit code for a
-    fatal renderer error, ``None`` otherwise.  In json- and
-    html-to-stdout modes the ResultSets are collected and flushed as
-    **one** document after the loop (14 concatenated HTML pages are
-    not a loadable page).
+    Shared by ``run`` and ``recipe run``.  In json- and html-to-stdout
+    modes the ResultSets are collected and flushed as **one** document
+    after the loop (14 concatenated HTML pages are not a loadable
+    page).
     """
     if out_dir is not None:
-        try:
-            paths = renderer.write(result_set, out_dir)
-        except RendererUnavailable as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
+        paths = renderer.write(result_set, out_dir)
         for path in paths:
             print(f"wrote {path}")
         if not paths:
@@ -382,7 +375,6 @@ def _emit_result_set(
         html_sections.append(result_set)
     else:
         print(renderer.render(result_set))
-    return None
 
 
 def _flush_html_stdout(html_sections: List) -> None:
@@ -507,15 +499,7 @@ def _cmd_run(argv) -> int:
     explicit = frozenset(overrides)
 
     renderer = get_renderer(args.format_name)
-    try:
-        # Fail on a missing backend before any experiment executes.
-        renderer.check_available()
-    except RendererUnavailable as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
     out_dir: Optional[Path] = Path(args.out) if args.out else None
-    if out_dir is None and args.format_name == "mpl":
-        out_dir = Path("figures")
 
     json_documents: List[dict] = []
     html_sections: List = []
@@ -542,12 +526,10 @@ def _cmd_run(argv) -> int:
                 failed.append(name)
                 continue
             _stamp_provenance(result_set, orch, before)
-            code = _emit_result_set(
+            _emit_result_set(
                 result_set, renderer, args.format_name, out_dir,
                 json_documents, html_sections,
             )
-            if code is not None:
-                return code
         if json_stdout:
             _flush_json_stdout(json_documents, len(names))
         _flush_html_stdout(html_sections)
@@ -813,127 +795,6 @@ def _cmd_profile(argv) -> int:
 
 
 # ----------------------------------------------------------------------
-# `serve`: the HTTP experiment service
-# ----------------------------------------------------------------------
-
-
-def _serve_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments.runner serve",
-        description="Run the HTTP experiment service over a cache "
-                    "directory: POST recipe manifests to /runs to "
-                    "start sweeps (published into the same job queue "
-                    "`runner worker` processes drain), GET run "
-                    "records, artifacts, and report.html as they are "
-                    "published, and watch the fleet through /healthz "
-                    "and /queue.  Stdlib-only; all state lives on "
-                    "disk, so restarting the service loses nothing. "
-                    "See ORCHESTRATION.md.",
-    )
-    parser.add_argument(
-        "cache_dir", nargs="?", default=None, metavar="CACHE_DIR",
-        help="shared cache directory to serve (default: "
-             "$REPRO_CACHE_DIR or .repro_cache/); created if missing",
-    )
-    parser.add_argument(
-        "--host", default="127.0.0.1", metavar="ADDR",
-        help="address to bind (default: 127.0.0.1; use 0.0.0.0 to "
-             "accept the fleet's curl from other hosts)",
-    )
-    parser.add_argument(
-        "--port", type=int, default=8321, metavar="N",
-        help="TCP port to bind (default: 8321; 0 picks a free port, "
-             "printed on startup)",
-    )
-    parser.add_argument(
-        "--max-concurrent", type=int, default=4, metavar="N",
-        help="sweeps executing at once; further submissions queue "
-             "(default: 4)",
-    )
-    parser.add_argument(
-        "--participate", action="store_true",
-        help="the service claims queue tasks itself while sweeps "
-             "wait, so it is useful with zero `runner worker` "
-             "processes (laptop mode); by default submissions only "
-             "publish tasks and the worker fleet drains them",
-    )
-    parser.add_argument(
-        "--lease-timeout", type=float, default=DEFAULT_LEASE_TIMEOUT,
-        metavar="S",
-        help="queue lease timeout handed to each sweep's backend "
-             f"(default: {DEFAULT_LEASE_TIMEOUT:g}s)",
-    )
-    parser.add_argument(
-        "--stale-after", type=float, default=DEFAULT_STALE_AFTER,
-        metavar="S",
-        help="report a worker as stale once its heartbeat is older "
-             "than S seconds (default: 30)",
-    )
-    parser.add_argument(
-        "--quiet", action="store_true",
-        help="suppress per-request and per-sweep log lines on stderr",
-    )
-    return parser
-
-
-def _cmd_serve(argv) -> int:
-    import signal
-
-    from repro.service import ExperimentHTTPServer, ExperimentService
-
-    parser = _serve_parser()
-    args = parser.parse_args(argv)
-    if args.max_concurrent < 1:
-        parser.error("--max-concurrent must be >= 1")
-    if args.lease_timeout <= 0:
-        parser.error("--lease-timeout must be positive")
-    if args.stale_after <= 0:
-        parser.error("--stale-after must be positive")
-    cache_dir = (
-        Path(args.cache_dir) if args.cache_dir else default_cache_dir()
-    )
-    service = ExperimentService(
-        cache_dir,
-        max_concurrent=args.max_concurrent,
-        participate=args.participate,
-        lease_timeout=args.lease_timeout,
-        stale_after=args.stale_after,
-        log=None if args.quiet else stderr_log,
-    )
-    try:
-        server = ExperimentHTTPServer((args.host, args.port), service)
-    except OSError as error:
-        print(
-            f"error: cannot bind {args.host}:{args.port}: {error}",
-            file=sys.stderr,
-        )
-        return 1
-    host, port = server.server_address[:2]
-    # The one startup line scripts parse (the smoke does): flushed so
-    # a pipe sees it before the first request ever arrives.
-    print(f"serving on http://{host}:{port}", flush=True)
-    print(
-        f"[serve] cache {cache_dir}, "
-        f"{'participating' if args.participate else 'publish-only'} "
-        f"submitter, {args.max_concurrent} concurrent sweeps max",
-        file=sys.stderr,
-    )
-    signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        print("[serve] interrupted; exiting", file=sys.stderr)
-    except SystemExit as exit_request:
-        print("[serve] terminated; exiting", file=sys.stderr)
-        server.server_close()
-        return (
-            exit_request.code if isinstance(exit_request.code, int) else 143
-        )
-    server.server_close()
-    return 0
-
-
-# ----------------------------------------------------------------------
 # `check-timing`: run a configuration and replay its command stream
 # against the JEDEC conformance checker
 # ----------------------------------------------------------------------
@@ -1025,7 +886,6 @@ def _check_timing_parser() -> argparse.ArgumentParser:
 
 def _cmd_check_timing(argv) -> int:
     from repro.defenses import DEFENSE_CLASSES
-    from repro.dram.timing import device_for, timing_for_speed
     from repro.sim.config import SystemConfig
     from repro.sim.conformance import check_run
     from repro.sim.engine import MemorySystem
@@ -1047,10 +907,9 @@ def _cmd_check_timing(argv) -> int:
     if args.clock_ns is not None and args.trace is None:
         parser.error("--clock-ns requires --trace")
     try:
-        if args.device is not None:
-            timing = device_for(args.device)
-        else:
-            timing = timing_for_speed(args.speed)
+        timing = device_for(
+            args.device if args.device is not None else args.speed
+        )
     except ValueError as error:
         parser.error(str(error))
     device_label = (
@@ -1295,14 +1154,7 @@ def _cmd_recipe_run(argv) -> int:
         return 1
 
     renderer = get_renderer(args.format_name)
-    try:
-        renderer.check_available()
-    except RendererUnavailable as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
     out_dir: Optional[Path] = Path(args.out) if args.out else None
-    if out_dir is None and args.format_name == "mpl":
-        out_dir = Path("figures") / recipe.name
 
     experiments = all_experiments()
     json_documents: List[dict] = []
@@ -1343,7 +1195,7 @@ def _cmd_recipe_run(argv) -> int:
                 # Only the report consumes these; retaining a whole
                 # paper-scale grid in memory otherwise is waste.
                 completed.append((experiment_name, seed, scale.device, result_set))
-            code = _emit_result_set(
+            _emit_result_set(
                 result_set,
                 renderer,
                 args.format_name,
@@ -1351,8 +1203,6 @@ def _cmd_recipe_run(argv) -> int:
                 else _recipe_out_dir(out_dir, recipe, seed, device=scale.device),
                 json_documents, html_sections,
             )
-            if code is not None:
-                return code
         if json_stdout:
             _flush_json_stdout(json_documents, len(runs))
         _flush_html_stdout(html_sections)
@@ -1420,12 +1270,6 @@ def _report_parser() -> argparse.ArgumentParser:
         help="render each seed's artifacts as separate sections "
              "instead of aggregating across seed*/ directories",
     )
-    parser.add_argument(
-        "--prefer-mpl", action="store_true",
-        help="embed matplotlib PNGs (base64) instead of pure-python "
-             "SVG charts when matplotlib is installed; the page stays "
-             "one file either way",
-    )
     return parser
 
 
@@ -1464,15 +1308,13 @@ def _cmd_report(argv) -> int:
         sections,
         title=title,
         subtitle=f"stitched from {root}",
-        prefer_mpl=args.prefer_mpl,
     )
     out = (
         Path(args.out)
         if args.out is not None
         else (root if root.is_dir() else root.parent) / "report.html"
     )
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(html, encoding="utf-8")
+    atomic_write_text(out, html)
     print(f"wrote {out} ({len(sections)} sections)")
     return 0
 
@@ -1492,7 +1334,7 @@ def _cmd_recipe(argv) -> int:
 
 
 _TOP_LEVEL_HELP = """\
-usage: python -m repro.experiments.runner {list,run,recipe,worker,queue,profile,serve,report,check-timing} ...
+usage: python -m repro.experiments.runner {list,run,recipe,worker,queue,profile,report,check-timing} ...
 
 subcommands:
   list    enumerate every registered experiment (--format text|json)
@@ -1514,9 +1356,6 @@ subcommands:
   profile aggregate the per-task timing stamps a sweep left in its
           result cache: per-experiment p50/p95 run times, setup and
           store overhead share, result sizes, chunk sizes
-  serve   run the HTTP experiment service over a cache directory:
-          POST recipes to start sweeps on the worker fleet, GET run
-          records, artifacts, report.html, /healthz, and /queue
   report  stitch ResultSet JSON artifact trees (including seed*/
           matrices, aggregated with error bands) into one
           self-contained HTML page
@@ -1550,7 +1389,6 @@ def help_all_text() -> str:
         _worker_parser(),
         _queue_status_parser(),
         _profile_parser(),
-        _serve_parser(),
         _report_parser(),
         _check_timing_parser(),
     )
@@ -1587,8 +1425,6 @@ def main(argv=None) -> int:
         return _cmd_queue(argv[1:])
     if argv and argv[0] == "profile":
         return _cmd_profile(argv[1:])
-    if argv and argv[0] == "serve":
-        return _cmd_serve(argv[1:])
     if argv and argv[0] == "report":
         return _cmd_report(argv[1:])
     if argv and argv[0] == "check-timing":

@@ -1,16 +1,14 @@
 """A pure-python SVG plotter for declarative :class:`PlotSpec`\\ s.
 
-The mpl renderer needs matplotlib, which the CI container (and many
-cluster hosts) does not ship.  This module renders the same three
-spec kinds -- ``line``, ``bar``, ``scatter`` -- straight to SVG text
-with nothing beyond the standard library, so the HTML paper report
-(:mod:`repro.experiments.report`) stays fully self-contained.
+This module renders the three spec kinds -- ``line``, ``bar``,
+``scatter`` -- straight to SVG text with nothing beyond the standard
+library, so the HTML paper report (:mod:`repro.experiments.report`)
+stays fully self-contained.
 
 Design notes:
 
-* Series split, None-cell skipping, and grouped-bar layout mirror
-  :class:`repro.experiments.render.MplRenderer` so the two chart
-  paths agree on what the data means.
+* Absent data is not zero: line and scatter runs skip None cells,
+  and a category missing from a series draws no bar.
 * Error bands: when a spec carries ``ybands`` entries (emitted by the
   seed-matrix aggregation layer), a shaded low--high envelope is
   drawn behind each mean line/point run.
@@ -526,7 +524,7 @@ class _BarChart(_Chart):
 
         if spec.logy:
             # Log bars have no zero: anchor them at the axis floor,
-            # half a decade below the smallest value (mpl's behavior).
+            # half a decade below the smallest value.
             if min(values) <= 0:
                 raise SvgPlotError(
                     f"plot {spec.name!r}: logy bars need positive values"

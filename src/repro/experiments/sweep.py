@@ -1,16 +1,13 @@
-"""The recipe-sweep engine shared by the CLI and the HTTP service.
+"""Shared pieces of a recipe sweep: provenance stamps, layout, report.
 
-``runner recipe run`` and the experiment service's submission manager
-execute the same loop: for every ``(experiment, seed, scale)`` cell of
-a :class:`~repro.experiments.recipes.Recipe`, run the experiment
-through an :class:`~repro.orchestration.OrchestrationContext`, stamp
-``meta.recipe`` + ``meta.provenance``, emit the artifact, and finally
-aggregate the seed matrix into one ``report.html``.  This module is
-the single home of that loop and of the artifact-layout and report
-conventions, so a sweep submitted over HTTP produces artifacts
-**byte-identical** (modulo the ``meta.provenance`` execution record,
-which deliberately says *how* each artifact was computed) to the same
-recipe run from the command line.
+``runner recipe run`` executes every ``(experiment, seed, scale)``
+cell of a :class:`~repro.experiments.recipes.Recipe` through an
+:class:`~repro.orchestration.OrchestrationContext`, stamps
+``meta.recipe`` + ``meta.provenance``, emits the artifact, and finally
+aggregates the seed matrix into one ``report.html``.  This module
+holds the pieces of that loop: the orchestration-counter snapshots
+behind ``meta.provenance`` (which ``runner run`` stamps too), the
+artifact layout, and the report writer.
 
 Artifact layout under a sweep's output directory::
 
@@ -19,25 +16,22 @@ Artifact layout under a sweep's output directory::
     <out>/report.html                      aggregated across seeds
 
 All files are published with atomic renames
-(:func:`repro.experiments.render.atomic_write_text`), so HTTP readers
-polling a directory mid-sweep see complete artifacts or none.
+(:func:`repro.experiments.render.atomic_write_text`), so a reader of
+the tree mid-sweep -- a static file server, say -- sees complete
+artifacts or none.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional
 
-from repro.experiments.api import ExperimentError, all_experiments
 from repro.experiments.recipes import Recipe
-from repro.experiments.render import atomic_write_text, get_renderer
+from repro.experiments.render import atomic_write_text
 from repro.orchestration import OrchestrationContext
 
 __all__ = [
-    "SweepOutcome",
     "recipe_out_dir",
-    "run_recipe_sweep",
     "stamp_provenance",
     "stats_snapshot",
     "write_recipe_report",
@@ -138,7 +132,7 @@ def write_recipe_report(
     -- the on-disk artifacts need not be JSON.  ``completed`` holds
     ``(experiment_name, seed, device, result_set)`` tuples (``device``
     is ``None`` without a devices axis).  The page is published
-    atomically so an HTTP reader never sees half a report.
+    atomically so a reader of the tree never sees half a report.
     """
     from repro.experiments.aggregate import ResultSetAggregate
     from repro.experiments.report import build_report
@@ -174,107 +168,3 @@ def write_recipe_report(
     atomic_write_text(path, html)
     return path
 
-
-@dataclass
-class SweepOutcome:
-    """What one :func:`run_recipe_sweep` call produced."""
-
-    #: ``experiment@seedN`` labels of cells that raised ExperimentError.
-    failed_cells: List[str] = field(default_factory=list)
-    #: Artifact files written, in completion order.
-    artifacts: List[Path] = field(default_factory=list)
-    #: ``<out>/report.html`` (``None`` when every cell failed or the
-    #: seed matrices misaligned -- the per-cell artifacts survive).
-    report_path: Optional[Path] = None
-    #: Why the report is missing despite completed cells, if so.
-    report_error: Optional[str] = None
-
-
-def run_recipe_sweep(
-    recipe: Recipe,
-    orch: OrchestrationContext,
-    out_dir: Path,
-    *,
-    smoke: bool = False,
-    report: bool = True,
-    format_name: str = "json",
-    log: Optional[Callable[[str], None]] = None,
-    progress: Optional[Callable[[int, int], None]] = None,
-) -> SweepOutcome:
-    """Execute every cell of ``recipe`` and write its artifact tree.
-
-    The service's submission manager calls this with a queue-backend
-    context; the cells publish through the shared cache exactly like
-    ``runner recipe run --backend queue``.  Backend failures
-    (a task that died on a worker, misconfiguration) propagate --
-    the whole sweep is wrong, not one cell; per-cell
-    :class:`ExperimentError` is recorded and the sweep continues,
-    mirroring the CLI.
-
-    ``progress(cells_done, cells_total)`` is called once per finished
-    cell (failed cells count as done -- it tracks sweep position, not
-    success), so callers like the experiment service can surface live
-    completion counts without parsing the log stream.
-    """
-    log = log or (lambda message: None)
-    recipe.validate_experiments()
-    runs = recipe.runs(smoke=smoke)
-    experiments = all_experiments()
-    renderer = get_renderer(format_name)
-    renderer.check_available()
-    out_dir = Path(out_dir)
-    outcome = SweepOutcome()
-    completed: List[Tuple[str, int, Optional[str], object]] = []
-    cells_total = len(runs)
-    if progress is not None:
-        progress(0, cells_total)
-
-    for cells_done, (experiment_name, seed, scale) in enumerate(runs, 1):
-        cell = f"{experiment_name}@seed{seed}"
-        if scale.device is not None:
-            cell = f"{cell}/{scale.device}"
-        log(f"[recipe {recipe.name} v{recipe.version}] {cell}")
-        before = stats_snapshot(orch)
-        try:
-            result_set = experiments[experiment_name].run_result_set(
-                scale, orch
-            )
-        except ExperimentError as error:
-            log(f"error: {cell}: {error}")
-            outcome.failed_cells.append(cell)
-            if progress is not None:
-                progress(cells_done, cells_total)
-            continue
-        if scale.device is not None:
-            result_set.title = f"{result_set.title} [{scale.device}]"
-        result_set.meta["recipe"] = {
-            "name": recipe.name,
-            "version": recipe.version,
-            "seed": seed,
-            "smoke": smoke,
-        }
-        stamp_provenance(result_set, orch, before)
-        outcome.artifacts.extend(
-            renderer.write(
-                result_set,
-                recipe_out_dir(out_dir, recipe, seed, device=scale.device),
-            )
-        )
-        if report:
-            completed.append((experiment_name, seed, scale.device, result_set))
-        if progress is not None:
-            progress(cells_done, cells_total)
-
-    if report and completed:
-        from repro.experiments.aggregate import AggregationError
-
-        try:
-            outcome.report_path = write_recipe_report(
-                recipe, smoke, completed, out_dir
-            )
-        except AggregationError as error:
-            # The per-seed artifacts are all on disk by now; losing
-            # the report must not look like losing the sweep.
-            outcome.report_error = str(error)
-            log(f"error: report aggregation failed: {error}")
-    return outcome

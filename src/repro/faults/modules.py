@@ -18,7 +18,7 @@ from enum import Enum
 from typing import Dict, Optional, Tuple
 
 from repro.dram.mapping import ScramblingScheme
-from repro.dram.timing import TimingParameters, timing_for_speed
+from repro.dram.timing import TimingParameters, device_for
 from repro.faults.variation import (
     ChunkEffect,
     SpatialFeatureEffect,
@@ -73,7 +73,7 @@ class ModuleSpec:
 
     @property
     def timing(self) -> TimingParameters:
-        return timing_for_speed(self.freq_mts)
+        return device_for(self.freq_mts)
 
     def variation_params(
         self, rows_per_bank: Optional[int] = None

@@ -439,9 +439,8 @@ class QueueBackend(ExecutionBackend):
     ) -> set:
         """Outstanding entry keys that exist in the cache right now.
 
-        Per-entry checks go through ``cache.exists`` so entries in
-        either layout (sharded, or flat from a pre-sharding worker's
-        cache) are seen; large remainders use the one-pass shard scan.
+        Small remainders are checked entry by entry with
+        ``cache.exists``; large ones use the one-pass shard scan.
         """
         if len(outstanding) <= PER_ENTRY_POLL_MAX:
             return {

@@ -10,22 +10,15 @@ where the hash covers::
 
     (task.key, fingerprint, code_version)
 
-Sharding exists for the always-on service: a million-entry cache in
-one flat directory makes every ``scandir`` (the submitter's
-collection pass, ``runner queue status``, the HTTP ``/queue``
-endpoint) a storm over one giant directory and brings out the worst
-in every filesystem's per-directory scaling.  256-way fan-out keeps
-each shard at ~1/256th of the entries while the full scan stays one
-pass: one top-level ``scandir`` plus one per shard directory, no
-per-entry ``stat`` calls.
-
-Caches written before sharding (flat ``<cache-dir>/<sha256>.pkl``)
-stay readable forever: reads fall through to the legacy flat path,
-scans count both layouts (each key once -- the sharded copy wins when
-both exist), and new stores always land sharded, so a legacy cache
-migrates incrementally as results are recomputed, never by a flag
-day.  Shard directories are exactly the two-character subdirectories
-of the cache dir; everything else (``queue/``, ``service/``) is
+Sharding keeps every directory small.  A cache shared by many sweeps
+grows without bound, and a queue submitter rescans it on every
+collection pass (as does ``runner queue status``); one flat directory
+of that size brings out the worst in every filesystem's per-directory
+scaling, NFS above all.  256-way fan-out keeps each shard at ~1/256th
+of the entries while the full scan stays one pass: one top-level
+``scandir`` plus one per shard directory, no per-entry ``stat``
+calls.  Shard directories are exactly the two-character
+subdirectories of the cache dir; everything else (``queue/``) is
 ignored by scans.
 
 ``fingerprint`` is the experiment-level context -- by convention the
@@ -106,48 +99,38 @@ def is_shard_dir(name: str) -> bool:
 
     The contract is purely structural -- exactly ``SHARD_WIDTH``
     characters, not hidden -- so sibling directories the cache shares
-    its home with (``queue/``, ``service/``, dot-prefixed scratch)
-    are never mistaken for shards.
+    its home with (``queue/``, dot-prefixed scratch) are never
+    mistaken for shards.
     """
     return len(name) == SHARD_WIDTH and not name.startswith(".")
 
 
-def _scan_one_dir(directory: Union[str, Path]) -> Tuple[set, List[str]]:
-    """``(entry_keys, shard_dir_names)`` from ONE ``scandir`` pass."""
-    keys, shards = set(), []
+def _scandir(directory: Union[str, Path]) -> List[os.DirEntry]:
     try:
         with os.scandir(directory) as entries:
-            for entry in entries:
-                if entry.name.startswith("."):
-                    continue
-                if entry.name.endswith(".pkl"):
-                    keys.add(entry.name[: -len(".pkl")])
-                elif is_shard_dir(entry.name) and entry.is_dir(
-                    follow_symlinks=False
-                ):
-                    shards.append(entry.name)
+            return list(entries)
     except FileNotFoundError:
-        pass
-    return keys, shards
+        return []
 
 
 def scan_cache_entry_keys(directory: Union[str, Path]) -> set:
     """Entry keys of every cache file in ``directory``, in ONE pass.
 
-    The single home of the cache layout contract (``<key>.pkl`` flat
-    or under a ``<key[:2]>/`` shard, dot-prefixed temp files
-    excluded) -- shared by the submitter's collection pass, ``runner
-    queue status``, and the service's ``/queue`` endpoint.  One
-    top-level ``scandir`` plus one per shard directory; no per-entry
-    ``stat`` calls, no re-listing a shard twice.  Keys present in
-    both layouts (a cache mid-migration) are counted **once** -- the
-    set union -- matching ``load``'s preference for the sharded copy.
+    The single home of the cache layout contract (``<key>.pkl`` under
+    a ``<key[:2]>/`` shard, dot-prefixed temp files excluded) --
+    shared by the queue submitter's collection pass and ``runner
+    queue status``.  One top-level ``scandir`` plus one per shard
+    directory; no per-entry ``stat`` calls.
     """
-    directory = Path(directory)
-    keys, shards = _scan_one_dir(directory)
-    for shard in shards:
-        shard_keys, _ = _scan_one_dir(directory / shard)
-        keys |= shard_keys
+    keys = set()
+    for shard in _scandir(directory):
+        if is_shard_dir(shard.name) and shard.is_dir(follow_symlinks=False):
+            keys.update(
+                entry.name[: -len(".pkl")]
+                for entry in _scandir(shard.path)
+                if entry.name.endswith(".pkl")
+                and not entry.name.startswith(".")
+            )
     return keys
 
 
@@ -237,22 +220,9 @@ class ResultCache:
         """Where ``entry_key`` lives (and is written): its shard."""
         return self.directory / shard_name(entry_key) / f"{entry_key}.pkl"
 
-    def legacy_path_for(self, entry_key: str) -> Path:
-        """The pre-sharding flat location, still honored on reads."""
-        return self.directory / f"{entry_key}.pkl"
-
-    def candidate_paths(self, entry_key: str) -> Tuple[Path, Path]:
-        """Read locations in preference order: sharded, then flat.
-
-        The sharded copy wins when both exist (a cache mid-migration):
-        it is the one new stores overwrite, so it is never staler than
-        the flat leftover.
-        """
-        return (self.path_for(entry_key), self.legacy_path_for(entry_key))
-
     def exists(self, entry_key: str) -> bool:
-        """Whether a stored entry exists in either layout (no read)."""
-        return any(path.exists() for path in self.candidate_paths(entry_key))
+        """Whether a stored entry exists (no read)."""
+        return self.path_for(entry_key).exists()
 
     def scan_entry_keys(self) -> set:
         """Every entry key currently on disk, from ONE scan pass.
@@ -267,32 +237,24 @@ class ResultCache:
     # ------------------------------------------------------------------
 
     def load(self, entry_key: str) -> Tuple[bool, Any]:
-        """``(hit, value)`` for an entry; corrupt files become misses.
-
-        Reads prefer the sharded location and fall through to the
-        legacy flat one, so caches written before sharding replay
-        without migration.  A corrupt copy is deleted and the *next*
-        candidate still gets its chance -- a torn sharded overwrite
-        can never shadow a valid flat original.
-        """
-        for path in self.candidate_paths(entry_key):
-            try:
-                with open(path, "rb") as handle:
-                    entry = pickle.load(handle)
-            except FileNotFoundError:
-                continue
-            except Exception:
-                self._discard(path)
-                continue
-            value = self._validate(entry, entry_key)
-            if value is _MISS:
-                self._discard(path)
-                continue
-            self.stats.hits += 1
-            self._note_provenance(entry_key, entry.get("provenance"))
-            return True, value
-        self.stats.misses += 1
-        return False, None
+        """``(hit, value)`` for an entry; corrupt files become misses."""
+        path = self.path_for(entry_key)
+        try:
+            with open(path, "rb") as handle:
+                entry = pickle.load(handle)
+        except FileNotFoundError:
+            self.stats.misses += 1
+            return False, None
+        except Exception:
+            entry = None  # unreadable: discarded below like a mismatch
+        value = self._validate(entry, entry_key)
+        if value is _MISS:
+            self._discard(path)
+            self.stats.misses += 1
+            return False, None
+        self.stats.hits += 1
+        self._note_provenance(entry_key, entry.get("provenance"))
+        return True, value
 
     def load_provenance(self, entry_key: str) -> Optional[Dict[str, Any]]:
         """The provenance stamp of one stored entry, if readable.
@@ -300,16 +262,15 @@ class ResultCache:
         Purely observational (``runner queue status``, tests): does not
         touch hit/miss statistics and never deletes anything.
         """
-        for path in self.candidate_paths(entry_key):
-            try:
-                with open(path, "rb") as handle:
-                    entry = pickle.load(handle)
-            except Exception:
-                continue
-            if isinstance(entry, dict) and isinstance(
-                entry.get("provenance"), dict
-            ):
-                return entry["provenance"]
+        try:
+            with open(self.path_for(entry_key), "rb") as handle:
+                entry = pickle.load(handle)
+        except Exception:
+            return None
+        if isinstance(entry, dict) and isinstance(
+            entry.get("provenance"), dict
+        ):
+            return entry["provenance"]
         return None
 
     def store(

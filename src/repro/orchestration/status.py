@@ -382,20 +382,14 @@ def render_profile(profile: Dict[str, Any]) -> str:
 
 
 def _read_entry(cache_dir: Path, entry_key: str) -> Any:
-    """One raw cache entry, sharded layout preferred; ``None`` if
-    unreadable (racing writers, corrupt files -- skip, never raise)."""
-    for path in (
-        cache_dir / shard_name(entry_key) / f"{entry_key}.pkl",
-        cache_dir / f"{entry_key}.pkl",
-    ):
-        try:
-            with open(path, "rb") as handle:
-                return pickle.load(handle)
-        except FileNotFoundError:
-            continue
-        except Exception:
-            return None
-    return None
+    """One raw cache entry; ``None`` if unreadable (racing writers,
+    corrupt files -- skip, never raise)."""
+    path = cache_dir / shard_name(entry_key) / f"{entry_key}.pkl"
+    try:
+        with open(path, "rb") as handle:
+            return pickle.load(handle)
+    except Exception:
+        return None
 
 
 def _distribution(values: List[float]) -> Dict[str, float]:

@@ -54,8 +54,13 @@ class HydraAdversarialTrace:
 class RrsAdversarialTrace:
     """Single-row hammering: maximizes RRS swap operations.
 
-    Alternates between the target row and a scratch row so every
-    access re-activates the target (no row-buffer hits).
+    Alternates between the target row and a scratch row.  The toggle
+    belongs to the trace, so a core's request chains
+    (``SystemConfig.mlp_per_core``) share it: requests to both rows
+    are outstanding at once, and FR-FCFS serves those to the open row
+    first.  Many accesses therefore hit the row buffer instead of
+    re-activating the target -- 66.4% at Fig 13's configuration
+    (8 cores x 12,000 requests, four chains each, seed 0, no defense).
     """
 
     target_row: int = 1000
@@ -76,10 +81,18 @@ class ManySidedHammerTrace:
 
     Aggressors sit ``row_stride`` apart (stride 2 is the classic
     double-sided sandwich generalized to N victims); visiting them in
-    strict rotation keeps every activation a row-buffer miss while
-    spreading the activation count evenly, which is what defeats
-    sampling defenses tuned for one or two hot rows.  ``start_offset``
-    phases multiple attacking cores within the rotation.
+    strict rotation spreads the activation count evenly, which is what
+    defeats sampling defenses tuned for one or two hot rows.
+    ``start_offset`` phases multiple attacking cores within the
+    rotation.
+
+    The rotation belongs to the trace, so a core's request chains
+    (``SystemConfig.mlp_per_core``) share it.  At N=8 and N=32 the
+    outstanding requests target distinct rows and no access hits the
+    row buffer.  At N=2 requests to both rows are outstanding at once
+    and FR-FCFS serves those to the open row first, so 66.4% of
+    accesses hit (``attack-manysided``'s configuration: 8 cores x
+    6,000 requests, four chains each, no defense).
     """
 
     n_sides: int = 8

@@ -25,7 +25,7 @@ from repro.dram.timing import (
     DDR4_3200,
     DDR5_4800,
     LPDDR4_3200,
-    timing_for_speed,
+    device_for,
 )
 from repro.sim.config import SystemConfig
 from repro.sim.conformance import (
@@ -270,7 +270,7 @@ class TestEngineConformance:
     @pytest.mark.parametrize("suite", ["ycsb", "spec17"])
     def test_synthetic_runs_are_conformant(self, speed, suite):
         config = small_config(
-            cores=2, requests_per_core=400, timing=timing_for_speed(speed)
+            cores=2, requests_per_core=400, timing=device_for(speed)
         )
         system = MemorySystem(config, synthetic_traces(config, suite))
         result, report = check_run(system)

@@ -18,7 +18,6 @@ from repro.dram.timing import (
     TimingParameters,
     all_device_names,
     device_for,
-    timing_for_speed,
 )
 
 #: Every preset of every generation, keyed by device name.
@@ -32,11 +31,11 @@ REFRESH_WINDOW_FIELDS = {"tREFI", "tREFW"}
 class TestPresets:
     def test_all_speed_grades_available(self):
         for speed in (2400, 2666, 2933, 3200):
-            assert timing_for_speed(speed).data_rate_mts == speed
+            assert device_for(speed).data_rate_mts == speed
 
     def test_unknown_speed_raises(self):
         with pytest.raises(ValueError) as excinfo:
-            timing_for_speed(1600)
+            device_for(1600)
         message = str(excinfo.value)
         assert "1600" in message
         for grade in ("2400", "2666", "2933", "3200"):
@@ -143,10 +142,6 @@ class TestDeviceFor:
         message = str(excinfo.value)
         for name in all_device_names():
             assert name in message
-
-    def test_timing_for_speed_is_a_ddr4_shim(self):
-        for speed in (2400, 2666, 2933, 3200):
-            assert timing_for_speed(speed) is device_for(speed)
 
 
 class TestTemperatureDerating:

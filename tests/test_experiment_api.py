@@ -15,7 +15,6 @@ Covers the acceptance criteria of the API redesign:
   characterization geometry (validated on a tiny synthetic module).
 """
 
-import importlib.util
 import json
 from pathlib import Path
 
@@ -58,8 +57,6 @@ from repro.faults.modules import MODULES, Manufacturer, ModuleSpec
 from repro.orchestration import OrchestrationContext, ResultCache
 
 TEXT_GOLDEN_DIR = Path(__file__).parent / "golden" / "text"
-
-MPL_AVAILABLE = importlib.util.find_spec("matplotlib") is not None
 
 # ----------------------------------------------------------------------
 # Parity scales: small enough for the test suite, matching
@@ -382,7 +379,7 @@ class TestPaperRows:
 
 class TestRenderers:
     def test_registry(self):
-        assert set(render.renderer_names()) >= {"text", "json", "mpl"}
+        assert set(render.renderer_names()) >= {"text", "json", "html"}
         with pytest.raises(KeyError, match="unknown format"):
             render.get_renderer("yaml")
 
@@ -397,28 +394,6 @@ class TestRenderers:
         (path,) = render.get_renderer("json").write(result_set, tmp_path)
         restored = ResultSet.from_json_dict(json.loads(path.read_text()))
         assert restored == result_set
-
-    def test_mpl_render_is_file_based(self, parity_result_sets):
-        _, result_set = parity_result_sets["fig5"]
-        with pytest.raises(render.RendererUnavailable, match="image files"):
-            render.get_renderer("mpl").render(result_set)
-
-    @pytest.mark.skipif(MPL_AVAILABLE, reason="matplotlib installed")
-    def test_mpl_unavailable_raises_actionable_error(
-        self, tmp_path, parity_result_sets
-    ):
-        _, result_set = parity_result_sets["fig5"]
-        with pytest.raises(render.RendererUnavailable, match="matplotlib"):
-            render.get_renderer("mpl").write(result_set, tmp_path)
-
-    @pytest.mark.skipif(not MPL_AVAILABLE, reason="matplotlib missing")
-    def test_mpl_writes_figures(self, tmp_path, parity_result_sets):
-        for name in ("fig5", "fig12", "fig13", "fig10"):
-            _, result_set = parity_result_sets[name]
-            paths = render.get_renderer("mpl").write(result_set, tmp_path)
-            assert paths, f"{name} produced no figures"
-            for path in paths:
-                assert path.exists() and path.stat().st_size > 0
 
     def test_custom_renderer_plugs_in(self):
         class NullRenderer(render.Renderer):
@@ -535,14 +510,6 @@ class TestRunnerCli:
     def test_unknown_experiment(self, capsys):
         assert runner.main(["run", "fig99"]) == 1
         assert "unknown experiment" in capsys.readouterr().err
-
-    @pytest.mark.skipif(MPL_AVAILABLE, reason="matplotlib installed")
-    def test_mpl_without_matplotlib_fails_cleanly(self, tmp_path, capsys):
-        code = runner.main(
-            ["run", "sec64", "--format", "mpl", "--out", str(tmp_path)]
-        )
-        assert code == 2
-        assert "matplotlib" in capsys.readouterr().err
 
     def test_quick_overrides_respect_explicit_flags(self):
         experiment = all_experiments()["fig12"]

@@ -216,7 +216,7 @@ class TestCacheCorrectness:
 
 
 # ----------------------------------------------------------------------
-# Sharded layout: fan-out on store, flat read-through, honest scans.
+# Sharded layout: fan-out on store, honest scans.
 # ----------------------------------------------------------------------
 
 
@@ -233,79 +233,14 @@ class TestShardedLayout:
         assert path.parent == tmp_path / entry_key[:SHARD_WIDTH]
         assert path.parent.name == shard_name(entry_key)
         assert path.exists()
-        assert not cache.legacy_path_for(entry_key).exists()
-
-    def test_legacy_flat_entry_read_through(self, tmp_path):
-        """A pre-shard cache keeps working verbatim: flat entries are
-        found, loaded, and counted without any migration step."""
-        cache = ResultCache(tmp_path)
-        task = make_task(("t",), _double, 21)
-        entry_key = cache.entry_key(task.key, TINY)
-        OrchestrationContext(cache=cache).run([task], fingerprint=TINY)
-        # Demote the entry to the legacy flat layout by hand.
-        cache.path_for(entry_key).rename(cache.legacy_path_for(entry_key))
-        (tmp_path / shard_name(entry_key)).rmdir()
-
-        fresh = ResultCache(tmp_path)
-        assert fresh.exists(entry_key)
-        ctx = OrchestrationContext(cache=fresh)
-        assert ctx.run([task], fingerprint=TINY) == {("t",): 42}
-        assert ctx.stats.hits == 1 and ctx.stats.executed == 0
-        assert scan_cache_entry_keys(tmp_path) == {entry_key}
-
-    def test_scan_counts_coexisting_copies_once(self, tmp_path):
-        """Mid-migration a key can exist flat AND sharded; scans (and
-        therefore `queue status` results_cached) count it once."""
-        cache = ResultCache(tmp_path)
-        sharded = cache.path_for("k1")
-        sharded.parent.mkdir(parents=True)
-        sharded.write_bytes(b"x")
-        cache.legacy_path_for("k1").write_bytes(b"x")
-        cache.legacy_path_for("k2").write_bytes(b"x")
-        assert scan_cache_entry_keys(tmp_path) == {"k1", "k2"}
-
-    def test_sharded_copy_preferred_over_flat(self, tmp_path):
-        """When both layouts hold a key, the sharded copy wins: new
-        stores go there, so it is the fresher of the two."""
-        cache = ResultCache(tmp_path)
-        task = make_task(("t",), _double, 21)
-        entry_key = cache.entry_key(task.key, TINY)
-        cache.store(entry_key, task.key, "sharded-value")
-        stale = ResultCache(tmp_path)
-        # Plant a conflicting flat copy with valid entry structure.
-        import pickle as pickle_module
-
-        sharded_bytes = cache.path_for(entry_key).read_bytes()
-        entry = pickle_module.loads(sharded_bytes)
-        entry["payload"] = "flat-value"
-        cache.legacy_path_for(entry_key).write_bytes(
-            pickle_module.dumps(entry)
-        )
-        assert stale.load(entry_key) == (True, "sharded-value")
-
-    def test_corrupt_sharded_copy_falls_back_to_flat(self, tmp_path):
-        """A torn sharded write must not mask a readable flat entry."""
-        cache = ResultCache(tmp_path)
-        task = make_task(("t",), _double, 21)
-        entry_key = cache.entry_key(task.key, TINY)
-        cache.store(entry_key, task.key, 42)
-        cache.path_for(entry_key).rename(cache.legacy_path_for(entry_key))
-        cache.path_for(entry_key).write_bytes(b"torn")
-
-        fresh = ResultCache(tmp_path)
-        assert fresh.load(entry_key) == (True, 42)
-        assert fresh.stats.corrupt_discarded == 1
-        # The corrupt sharded file was removed, not left to re-discard.
-        assert not cache.path_for(entry_key).exists()
 
     def test_non_shard_directories_never_scanned(self, tmp_path):
-        """`queue/` and `service/` live inside the cache directory;
-        their names are longer than a shard's, so scans skip them and
-        whatever .pkl files they hold (failure records!)."""
+        """`queue/` lives inside the cache directory; its name is
+        longer than a shard's, so scans skip it and whatever .pkl files
+        it holds (failure records!)."""
         from repro.orchestration.cache import is_shard_dir
 
         assert not is_shard_dir("queue")
-        assert not is_shard_dir("service")
         assert not is_shard_dir(".hidden")
         assert is_shard_dir("ab") and is_shard_dir("k1")
 
@@ -313,9 +248,6 @@ class TestShardedLayout:
         failed = tmp_path / "queue" / "failed"
         failed.mkdir(parents=True)
         (failed / "record.pkl").write_bytes(b"x")
-        runs = tmp_path / "service" / "runs"
-        runs.mkdir(parents=True)
-        (runs / "stray.pkl").write_bytes(b"x")
         cache.store("k1", ("t",), 1)
         assert scan_cache_entry_keys(tmp_path) == {"k1"}
 

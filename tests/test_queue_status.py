@@ -32,6 +32,7 @@ from repro.orchestration import (
     make_task,
     queue_status,
     render_status,
+    shard_name,
 )
 from repro.orchestration.jobqueue import FailureRecord
 
@@ -174,10 +175,12 @@ def synthetic_queue_state(root: Path) -> Path:
     worker.  Every timestamp is derived from ``NOW``.
     """
     cache_dir = root / "cache"
-    cache_dir.mkdir(parents=True, exist_ok=True)
     for name in ("e1", "e2", "e3"):
-        (cache_dir / f"{name}.pkl").write_bytes(b"x")
-    (cache_dir / ".tmp-ignored.pkl").write_bytes(b"x")  # in-flight write
+        shard = cache_dir / shard_name(name)
+        shard.mkdir(parents=True, exist_ok=True)
+        (shard / f"{name}.pkl").write_bytes(b"x")
+    # An in-flight write: temp files are not entries.
+    (cache_dir / shard_name("e1") / ".tmp-ignored.pkl").write_bytes(b"x")
 
     queue = JobQueue(cache_dir / "queue").ensure()
     for name in ("t1", "t2"):
@@ -276,21 +279,6 @@ class TestQueueStatus:
         assert status["throughput"]["completed"] == 4
         assert status["throughput"]["tasks_per_second"] == round(4 / 60, 4)
 
-    def test_results_cached_counts_migrating_keys_once(self, tmp_path):
-        """Flat + sharded copies of one entry (a cache mid-migration to
-        the sharded layout) must read as ONE cached result, and the
-        sharded tree must be counted at all."""
-        cache_dir = synthetic_queue_state(tmp_path)  # e1..e3 flat
-        cache = ResultCache(cache_dir)
-        duplicate = cache.path_for("e1")  # e1 again, sharded this time
-        duplicate.parent.mkdir(parents=True, exist_ok=True)
-        duplicate.write_bytes(b"x")
-        fresh = cache.path_for("e9")
-        fresh.parent.mkdir(parents=True, exist_ok=True)
-        fresh.write_bytes(b"x")
-        status = queue_status(cache_dir, now=NOW)
-        assert status["tasks"]["results_cached"] == 4  # e1..e3 + e9
-
     def test_empty_queue_reports_zeros(self, tmp_path):
         cache_dir = tmp_path / "cache"
         cache_dir.mkdir()
@@ -351,8 +339,8 @@ class TestResultProvenance:
             "format": 1, "entry_key": "k1", "task_key": ("t",),
             "version": "vX", "payload": 7,
         }
-        # Legacy entries predate sharding: flat in the cache dir.
-        with open(cache.legacy_path_for("k1"), "wb") as handle:
+        cache.path_for("k1").parent.mkdir(parents=True)
+        with open(cache.path_for("k1"), "wb") as handle:
             pickle.dump(entry, handle)
         assert cache.load("k1") == (True, 7)
         assert cache.load_provenance("k1") is None

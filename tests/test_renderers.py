@@ -1,6 +1,8 @@
-"""The CSV and LaTeX renderers (the cheap-renderer ROADMAP item)."""
+"""The CSV and LaTeX renderers, renderer edge cases, and atomic
+artifact publishing."""
 
 import json
+import threading
 
 import pytest
 
@@ -9,6 +11,7 @@ from repro.experiments.api import ResultSet, ResultTable
 from repro.experiments.render import (
     CsvRenderer,
     LatexRenderer,
+    atomic_write_text,
     get_renderer,
     renderer_names,
 )
@@ -142,3 +145,46 @@ class TestRendererEdgeCases:
     def test_empty_table_write_roundtrip(self, empty_table, tmp_path):
         for fmt in ("json", "csv", "latex", "html"):
             assert get_renderer(fmt).write(empty_table, tmp_path)
+
+
+class TestAtomicWriteText:
+    def test_reads_during_rewrites_are_never_torn(self, tmp_path):
+        """Read a report while it is atomically rewritten: every read
+        must be one complete payload, never a splice.  This is what a
+        static server hosting an artifact tree mid-sweep relies on.
+        The payloads differ in every 64-byte block, so any torn read
+        would fail the set membership below."""
+        payloads = [
+            f"<html>{marker * 65536}</html>" for marker in ("a", "b")
+        ]
+        path = tmp_path / "report.html"
+        atomic_write_text(path, payloads[0])
+
+        stop = threading.Event()
+        failures = []
+
+        def writer():
+            flip = 0
+            while not stop.is_set():
+                flip ^= 1
+                atomic_write_text(path, payloads[flip])
+
+        def reader():
+            for _ in range(40):
+                body = path.read_text(encoding="utf-8")
+                if body not in payloads:
+                    failures.append(len(body))
+
+        writer_thread = threading.Thread(target=writer, daemon=True)
+        writer_thread.start()
+        readers = [threading.Thread(target=reader) for _ in range(4)]
+        for thread in readers:
+            thread.start()
+        for thread in readers:
+            thread.join(timeout=60)
+        stop.set()
+        writer_thread.join(timeout=10)
+        assert not any(t.is_alive() for t in [*readers, writer_thread])
+        assert failures == []
+        # No temp file outlives the rewrites.
+        assert [p.name for p in tmp_path.iterdir()] == ["report.html"]
