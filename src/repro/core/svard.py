@@ -18,8 +18,8 @@ Two metadata storage options from Section 6.2 are modelled:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Protocol, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Protocol
 
 import numpy as np
 
@@ -30,6 +30,9 @@ from repro.core.profile import VulnerabilityProfile
 class MetadataStore(Protocol):
     """Where the per-row bin ids live."""
 
+    #: The stored bin-id table: one array of 4-bit ids per bank.
+    bins_per_bank: Dict[int, np.ndarray]
+
     def bin_id(self, bank: int, row: int) -> int:
         """The stored 4-bit bin id of one row."""
 
@@ -38,18 +41,21 @@ class MetadataStore(Protocol):
 
 
 @dataclass
-class McTableStore:
-    """Per-row bin-id table in the memory controller (option A).
+class _BinIdTable:
+    """The per-row bin-id table both storage options hold.
 
-    Lookup latency is hidden under the row activation (the Section 6.4
-    CACTI estimate is 0.47 ns against a ~14 ns tRCD).
+    A bank without a table of its own maps to the stored bank at its
+    index (modulo the bank count) in ascending bank order; a row maps
+    modulo the table length.
     """
 
     bins_per_bank: Dict[int, np.ndarray]
 
     def bin_id(self, bank: int, row: int) -> int:
-        banks = sorted(self.bins_per_bank)
-        table = self.bins_per_bank[banks[bank % len(banks)] if bank not in self.bins_per_bank else bank]
+        table = self.bins_per_bank.get(bank)
+        if table is None:
+            banks = sorted(self.bins_per_bank)
+            table = self.bins_per_bank[banks[bank % len(banks)]]
         return int(table[row % len(table)])
 
     def storage_bits(self) -> int:
@@ -57,7 +63,16 @@ class McTableStore:
 
 
 @dataclass
-class InDramStore:
+class McTableStore(_BinIdTable):
+    """Per-row bin-id table in the memory controller (option A).
+
+    Lookup latency is hidden under the row activation (the Section 6.4
+    CACTI estimate is 0.47 ns against a ~14 ns tRCD).
+    """
+
+
+@dataclass
+class InDramStore(_BinIdTable):
     """Bin ids in the DRAM rows' integrity bits (option B).
 
     The id arrives with the first read of the activated row, so it
@@ -66,16 +81,7 @@ class InDramStore:
     ``co_refreshed`` flag the defenses assert.
     """
 
-    bins_per_bank: Dict[int, np.ndarray]
     co_refreshed: bool = True
-
-    def bin_id(self, bank: int, row: int) -> int:
-        banks = sorted(self.bins_per_bank)
-        table = self.bins_per_bank[banks[bank % len(banks)] if bank not in self.bins_per_bank else bank]
-        return int(table[row % len(table)])
-
-    def storage_bits(self) -> int:
-        return 4 * sum(len(t) for t in self.bins_per_bank.values())
 
 
 @dataclass
@@ -85,6 +91,19 @@ class Svard:
     profile: VulnerabilityProfile
     bins: VulnerabilityBins
     store: MetadataStore
+
+    def __post_init__(self) -> None:
+        # The store's bin ids resolved to thresholds once, as one list
+        # of floats per bank: a defense looks a threshold up per victim
+        # of every ACT.  Bin ids are range-checked here, once.
+        edges = self.bins.edges.tolist()
+        self._row_thresholds: Dict[int, List[float]] = {}
+        for bank, ids in self.store.bins_per_bank.items():
+            ids = np.asarray(ids).tolist()
+            if ids and not 0 <= min(ids) <= max(ids) < len(edges):
+                raise ValueError(f"bank {bank}: bin id out of range")
+            self._row_thresholds[bank] = [edges[i] for i in ids]
+        self._stored_banks = sorted(self._row_thresholds)
 
     @classmethod
     def build(
@@ -117,8 +136,15 @@ class Svard:
     # ------------------------------------------------------------------
 
     def threshold_for(self, bank: int, row: int) -> float:
-        """The HC_first threshold Svärd reports for one (victim) row."""
-        return self.bins.threshold_of(self.store.bin_id(bank, row))
+        """The HC_first threshold Svärd reports for one (victim) row.
+
+        Resolves banks and rows as :meth:`MetadataStore.bin_id` does.
+        """
+        thresholds = self._row_thresholds.get(bank)
+        if thresholds is None:
+            stored = self._stored_banks[bank % len(self._stored_banks)]
+            thresholds = self._row_thresholds[bank] = self._row_thresholds[stored]
+        return thresholds[row % len(thresholds)]
 
     def aggressiveness_scale(self, bank: int, row: int) -> float:
         """How much less aggressive a defense can be for this row.

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import List, Optional, Protocol, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Protocol, Sequence, Tuple
 
 from repro.core.svard import Svard
 
@@ -108,6 +108,38 @@ class CounterTraffic(Mitigation):
     writes: int = 0
 
 
+#: The one accounting rule for preventive actions, read by the
+#: engine (bank time) and by :meth:`DefenseStats.record` (counters).
+#: Per action type, ``(occupancy, acts, counts)``:
+#:
+#: * ``occupancy`` -- the :class:`repro.sim.config.MitigationCosts`
+#:   attribute one preventive activation holds the bank for; ``None``
+#:   for a throttle, whose ``delay_ns`` stalls the issuing chain;
+#: * ``acts(action)`` -- how many preventive activations it performs:
+#:   one per refreshed victim or counter access, two halves per
+#:   migration (read out, write back), four per swap;
+#: * ``counts(action)`` -- its ``(DefenseStats field, increment)`` pairs.
+MITIGATION_ACCOUNTING: Dict[type, Tuple[Optional[str], Callable, Callable]] = {
+    VictimRefresh: (
+        "victim_refresh_ns",
+        lambda m: len(m.rows),
+        lambda m: (("victim_refreshes", len(m.rows)),),
+    ),
+    ThrottleDelay: (
+        None,
+        lambda m: 0,
+        lambda m: (("throttle_events", 1), ("throttle_delay_ns", m.delay_ns)),
+    ),
+    RowMigration: ("row_copy_half_ns", lambda m: 2, lambda m: (("migrations", 1),)),
+    RowSwap: ("row_copy_half_ns", lambda m: 4, lambda m: (("swaps", 1),)),
+    CounterTraffic: (
+        "counter_access_ns",
+        lambda m: m.reads + m.writes,
+        lambda m: (("counter_reads", m.reads), ("counter_writes", m.writes)),
+    ),
+}
+
+
 # ---------------------------------------------------------------------------
 # Defense base class
 # ---------------------------------------------------------------------------
@@ -162,11 +194,22 @@ class Defense(ABC):
         return tuple(victims)
 
     def min_victim_threshold(self, bank: int, row: int) -> float:
-        """The binding threshold of one activation: its weakest victim."""
-        victims = self.victim_rows(row)
-        if not victims:
-            return self.hc_first
-        return min(self.thresholds.threshold(bank, v) for v in victims)
+        """The binding threshold of one activation: its weakest victim.
+
+        Looks the victims up in :meth:`victim_rows` order, without
+        building the tuple: this runs on every ACT.
+        """
+        threshold = self.thresholds.threshold
+        has_upper = row + 1 < self.rows_per_bank
+        if row - 1 >= 0:
+            lower = threshold(bank, row - 1)
+            if not has_upper:
+                return lower
+            upper = threshold(bank, row + 1)
+            return upper if upper < lower else lower
+        if has_upper:
+            return threshold(bank, row + 1)
+        return self.hc_first
 
 
 @dataclass
@@ -183,16 +226,8 @@ class DefenseStats:
     counter_writes: int = 0
 
     def record(self, mitigations: Sequence[Mitigation]) -> None:
+        counters = self.__dict__
         for mitigation in mitigations:
-            if isinstance(mitigation, VictimRefresh):
-                self.victim_refreshes += len(mitigation.rows)
-            elif isinstance(mitigation, ThrottleDelay):
-                self.throttle_events += 1
-                self.throttle_delay_ns += mitigation.delay_ns
-            elif isinstance(mitigation, RowMigration):
-                self.migrations += 1
-            elif isinstance(mitigation, RowSwap):
-                self.swaps += 1
-            elif isinstance(mitigation, CounterTraffic):
-                self.counter_reads += mitigation.reads
-                self.counter_writes += mitigation.writes
+            _, _, counts = MITIGATION_ACCOUNTING[type(mitigation)]
+            for name, amount in counts(mitigation):
+                counters[name] += amount

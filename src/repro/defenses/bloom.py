@@ -10,14 +10,19 @@ mechanism needs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import List
 
 import numpy as np
 
 
 @dataclass
 class CountingBloomFilter:
-    """A counting Bloom filter over row addresses."""
+    """A counting Bloom filter over row addresses.
+
+    Python ints, not numpy: a filter sees an insert and a query per
+    ACT.  Row keys stay below 2**17, so ``key * multiplier + offset``
+    stays below 2**50, where int64 arithmetic would not wrap either.
+    """
 
     n_counters: int = 1024
     n_hashes: int = 4
@@ -26,28 +31,34 @@ class CountingBloomFilter:
     def __post_init__(self) -> None:
         if self.n_counters < 1 or self.n_hashes < 1:
             raise ValueError("filter dimensions must be positive")
-        self._counters = np.zeros(self.n_counters, dtype=np.int64)
+        self._counters = [0] * self.n_counters
         rng = np.random.default_rng(self.seed)
         # Odd multipliers give full-period multiplicative hashes.
-        self._multipliers = rng.integers(1, 2**31, size=self.n_hashes) * 2 + 1
-        self._offsets = rng.integers(0, 2**31, size=self.n_hashes)
+        multipliers = rng.integers(1, 2**31, size=self.n_hashes) * 2 + 1
+        offsets = rng.integers(0, 2**31, size=self.n_hashes)
+        self._hashes = list(zip(multipliers.tolist(), offsets.tolist()))
 
-    def _indices(self, key: int) -> np.ndarray:
-        return ((key * self._multipliers + self._offsets) >> 7) % self.n_counters
+    def _indices(self, key: int) -> List[int]:
+        n = self.n_counters
+        return [((key * m + o) >> 7) % n for m, o in self._hashes]
 
     def insert(self, key: int) -> None:
-        self._counters[self._indices(key)] += 1
+        # A key whose hashes collide bumps that counter once.
+        counters = self._counters
+        for index in set(self._indices(key)):
+            counters[index] += 1
 
     def estimate(self, key: int) -> int:
         """Count estimate: never below the true insertion count."""
-        return int(self._counters[self._indices(key)].min())
+        counters = self._counters
+        return min([counters[index] for index in self._indices(key)])
 
     def clear(self) -> None:
-        self._counters[:] = 0
+        self._counters = [0] * self.n_counters
 
     @property
     def total_insertions(self) -> int:
-        return int(self._counters.sum() // self.n_hashes)
+        return sum(self._counters) // self.n_hashes
 
 
 @dataclass

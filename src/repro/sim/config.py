@@ -78,6 +78,11 @@ class MitigationCosts:
         return self.timing.tRC + self.timing.tCL + self.timing.tBL
 
     @property
+    def row_copy_half_ns(self) -> float:
+        """One half of a row copy: a row cycle plus the row's column burst."""
+        return self.timing.tRC + self.columns_per_row * self.timing.column_to_column_ns
+
+    @property
     def migration_ns(self) -> float:
         burst = self.columns_per_row * self.timing.column_to_column_ns
         return 2 * self.timing.tRC + 2 * burst

@@ -1,7 +1,7 @@
 """Command-granular JEDEC conformance checking.
 
 The performance simulator is command-granular rather than
-cycle-granular, and its hot paths were vectorized; nothing in the
+cycle-granular, and its hot path is tuned for speed; nothing in the
 engine itself re-checks that the command stream it implies still obeys
 the JEDEC rules the paper's methodology depends on.  This module is
 that backstop: an explicit timing *rulebook* -- tRCD, tRAS, tRP, tRC,

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 
-@dataclass
+@dataclass(slots=True)
 class MemoryRequest:
-    """One DRAM request as seen by the memory controller."""
+    """One DRAM request as seen by the memory controller.
+
+    Slotted: the engine builds one per simulated request.
+    """
 
     core: int
     bank: int  # flat bank id across ranks

@@ -12,13 +12,18 @@ key on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterator, Tuple
 
 import numpy as np
 
 from repro.sim.engine import TraceStep
 
+#: Steps drawn from the RNG at a time.  Part of the random stream: a
+#: different size reorders the draws.
 _BATCH = 4096
+#: Steps of a batch converted to Python scalars at a time; converting
+#: a whole batch at once costs resident memory for no speed.
+_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -46,6 +51,32 @@ class SuiteProfile:
             raise ValueError("gap_mean_ns must be non-negative")
 
 
+def _draw_batches(
+    rng: np.random.Generator, n_rows: int, probs: np.ndarray, gap_mean_ns: float
+) -> Iterator[Tuple[int, float, float, float]]:
+    """Per step: (working-set index, locality draw, write draw, gap).
+
+    Draws ``_BATCH`` steps at a time in a fixed order -- row choices,
+    a ``(_BATCH, 3)`` uniform block whose middle column is unused,
+    then the gaps -- and hands them out as Python scalars ``_CHUNK``
+    steps at a time.  Not a method: a generator holding its trace
+    would form a cycle that keeps finished traces' batches alive
+    until the cyclic collector runs.
+    """
+    while True:
+        rows = rng.choice(n_rows, size=_BATCH, p=probs)
+        uniform = rng.random((_BATCH, 3))
+        gaps = rng.exponential(gap_mean_ns, size=_BATCH)
+        for start in range(0, _BATCH, _CHUNK):
+            chunk = slice(start, start + _CHUNK)
+            yield from zip(
+                rows[chunk].tolist(),
+                uniform[chunk, 0].tolist(),
+                uniform[chunk, 2].tolist(),
+                gaps[chunk].tolist(),
+            )
+
+
 class SyntheticTrace:
     """One core's request stream (implements the engine Trace protocol)."""
 
@@ -67,8 +98,7 @@ class SyntheticTrace:
         n = min(profile.working_set_rows, rows_per_bank)
         rows = self._rng.choice(rows_per_bank, size=n, replace=False)
         weights = 1.0 / np.arange(1, n + 1, dtype=np.float64) ** profile.zipf_exponent
-        self._rows = rows
-        self._probs = weights / weights.sum()
+        self._rows = rows.tolist()
         banks = self._rng.choice(
             total_banks, size=min(profile.banks_used, total_banks), replace=False
         )
@@ -78,50 +108,24 @@ class SyntheticTrace:
         # react to.
         self._bank_of_row = banks[
             self._rng.integers(0, len(banks), size=n)
-        ]
+        ].tolist()
         self._chain_state: Dict[int, Tuple[int, int, int]] = {}
-        self._row_batch = np.empty(0, dtype=np.int64)
-        self._uniform_batch = np.empty(0)
-        self._gap_batch = np.empty(0)
-        self._batch_pos = 0
+        self._draws = _draw_batches(
+            self._rng, n, weights / weights.sum(), max(profile.gap_mean_ns, 1e-9)
+        )
 
     # ------------------------------------------------------------------
 
-    def _refill(self) -> None:
-        self._row_batch = self._rng.choice(
-            len(self._rows), size=_BATCH, p=self._probs
-        )
-        self._uniform_batch = self._rng.random((_BATCH, 3))
-        self._gap_batch = self._rng.exponential(
-            max(self.profile.gap_mean_ns, 1e-9), size=_BATCH
-        )
-        self._batch_pos = 0
-
-    def _draw(self) -> Tuple[int, float, float, float, float]:
-        if self._batch_pos >= _BATCH:
-            self._refill()
-        if len(self._row_batch) == 0:
-            self._refill()
-        i = self._batch_pos
-        self._batch_pos += 1
-        u = self._uniform_batch[i]
-        return int(self._row_batch[i]), u[0], u[1], u[2], float(self._gap_batch[i])
-
     def next_step(self, chain: int) -> TraceStep:
-        row_index, u_local, u_bank, u_write, gap = self._draw()
+        row_index, u_local, u_write, gap = next(self._draws)
+        profile = self.profile
         state = self._chain_state.get(chain)
-        if state is not None and u_local < self.profile.row_locality:
+        if state is not None and u_local < profile.row_locality:
             bank, row, column = state
             column = (column + 1) % self.columns_per_row
         else:
-            bank = int(self._bank_of_row[row_index])
-            row = int(self._rows[row_index])
+            bank = self._bank_of_row[row_index]
+            row = self._rows[row_index]
             column = 0
         self._chain_state[chain] = (bank, row, column)
-        return TraceStep(
-            bank=bank,
-            row=row,
-            column=column,
-            is_write=u_write < self.profile.write_ratio,
-            gap_ns=gap,
-        )
+        return TraceStep(bank, row, column, u_write < profile.write_ratio, gap)

@@ -61,6 +61,58 @@ class TestCountingBloomFilter:
         with pytest.raises(ValueError):
             CountingBloomFilter(n_counters=0)
 
+    @pytest.mark.parametrize("seed", [0, 1, 7, 42])
+    def test_matches_numpy_reference(self, seed):
+        """Same counters, estimates and totals as the numpy filter."""
+        filt = CountingBloomFilter(n_counters=256, seed=seed)
+        reference = NumpyCountingBloomFilter(n_counters=256, seed=seed)
+        keys = np.random.default_rng(1000 + seed).integers(0, 1 << 17, size=600)
+        for key in [109, 109, *keys.tolist()]:
+            filt.insert(key)
+            reference.insert(key)
+        assert list(filt._counters) == reference._counters.tolist()
+        for key in [109, *keys[:100].tolist(), *range(50)]:
+            assert filt.estimate(key) == reference.estimate(key)
+        assert filt.total_insertions == reference.total_insertions
+
+    def test_repeated_hash_index_counts_once(self):
+        """Seed 0, key 109 hashes to [237, 11, 34, 237] at 1024 counters;
+        like numpy's ``counters[idx] += 1``, an insert bumps 237 once."""
+        filt = CountingBloomFilter(seed=0)
+        reference = NumpyCountingBloomFilter(seed=0)
+        assert reference._indices(109).tolist() == [237, 11, 34, 237]
+        filt.insert(109)
+        reference.insert(109)
+        assert list(filt._counters) == reference._counters.tolist()
+        assert filt._counters[237] == 1
+        assert filt.estimate(109) == reference.estimate(109) == 1
+        assert filt.total_insertions == reference.total_insertions == 0
+
+
+class NumpyCountingBloomFilter:
+    """The numpy counting Bloom filter, kept as a reference."""
+
+    def __init__(self, n_counters=1024, n_hashes=4, seed=0):
+        self.n_counters = n_counters
+        self.n_hashes = n_hashes
+        self._counters = np.zeros(n_counters, dtype=np.int64)
+        rng = np.random.default_rng(seed)
+        self._multipliers = rng.integers(1, 2**31, size=n_hashes) * 2 + 1
+        self._offsets = rng.integers(0, 2**31, size=n_hashes)
+
+    def _indices(self, key):
+        return ((key * self._multipliers + self._offsets) >> 7) % self.n_counters
+
+    def insert(self, key):
+        self._counters[self._indices(key)] += 1
+
+    def estimate(self, key):
+        return int(self._counters[self._indices(key)].min())
+
+    @property
+    def total_insertions(self):
+        return int(self._counters.sum() // self.n_hashes)
+
 
 class TestMisraGries:
     def test_tracks_heavy_hitter(self):

@@ -1,10 +1,17 @@
 """Tests for the memory-system simulator and metrics."""
 
+import dataclasses
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
+from repro.defenses import DEFENSE_CLASSES
 from repro.defenses.base import GlobalThreshold
 from repro.defenses.para import Para
 from repro.defenses.rrs import RandomizedRowSwap
+from repro.dram.timing import device_for
 from repro.sim.cache import SetAssociativeCache
 from repro.sim.config import MitigationCosts, SystemConfig
 from repro.sim.engine import MemorySystem, TraceStep
@@ -184,6 +191,108 @@ class TestDefenseIntegration:
         defended = MemorySystem(config, [make()], defense=defense).run()
         assert defended.cores[0].finish_ns > base * 1.5
         assert defense.stats.swaps > 0
+
+
+ENGINE_CELLS_GOLDEN = Path(__file__).parent / "golden" / "engine_cells.json"
+ENGINE_CELL_DEVICES = ("DDR4-3200", "LPDDR4-3200", "DDR5-4800")
+ENGINE_CELL_DEFENSES = (None,) + tuple(sorted(DEFENSE_CLASSES))
+
+
+def _engine_cell(device, defense_name):
+    """A cell configured as ``scripts/generations_smoke.py`` builds one.
+
+    The defense runs at HC_first 64 rather than the smoke's 512: at 512
+    only PARA issues any mitigation in 400 requests per core, at 64
+    every defense issues its own kind.
+    """
+    config = SystemConfig(
+        cores=2, ranks=1, bank_groups=2, banks_per_group=2,
+        rows_per_bank=4096, requests_per_core=400, mlp_per_core=2,
+        timing=device_for(device),
+        defense_epoch_ns=100_000.0 if defense_name else None,
+    )
+    traces = [
+        SyntheticTrace(
+            profile_by_name("ycsb"), total_banks=config.total_banks,
+            rows_per_bank=config.rows_per_bank,
+            columns_per_row=config.columns_per_row, seed=17 + core,
+        )
+        for core in range(config.cores)
+    ]
+    defense = None
+    if defense_name is not None:
+        defense = DEFENSE_CLASSES[defense_name](
+            64, rows_per_bank=config.rows_per_bank, seed=0
+        )
+    return MemorySystem(config, traces, defense=defense, seed=0)
+
+
+def _exact(value):
+    """Floats as ``float.hex()`` so the golden pins every bit."""
+    return float(value).hex() if isinstance(value, float) else value
+
+
+def _engine_cell_outcome(device, defense_name, logged):
+    system = _engine_cell(device, defense_name)
+    log = [] if logged else None
+    result = system.run(command_log=log)
+    outcome = {
+        "finish_ns": [_exact(core.finish_ns) for core in result.cores],
+        "latency_sum_ns": [_exact(core.total_latency_ns) for core in result.cores],
+        "completed": [core.completed_requests for core in result.cores],
+        "total_ns": _exact(result.total_ns),
+        "row_hits": result.row_hits,
+        "row_misses": result.row_misses,
+        "activations": result.activations,
+        "refreshes_issued": result.refreshes_issued,
+    }
+    if system.defense is not None:
+        outcome["defense_stats"] = {
+            name: _exact(value)
+            for name, value in dataclasses.asdict(system.defense.stats).items()
+        }
+    if logged:
+        digest = hashlib.sha256()
+        for entry in log:
+            command = entry.command
+            digest.update(
+                f"{_exact(float(entry.time_ns))} {command.kind.name} "
+                f"{command.rank} {command.bank} {command.row} "
+                f"{command.column}\n".encode()
+            )
+        outcome["command_log"] = {"length": len(log), "sha256": digest.hexdigest()}
+    return outcome
+
+
+def test_engine_cells_match_golden(request):
+    """Every generation's exact schedule, undefended and per defense.
+
+    Pins the LPDDR4 per-bank and DDR5 same-bank refresh paths and each
+    mitigation kind's pacing bit for bit, with command logging off and
+    on.  Regenerate with ``pytest tests/test_sim_engine.py
+    --update-golden`` only after an intentional behavior change.
+    """
+    cells = {
+        f"{device}|{defense_name or 'none'}|{'log' if logged else 'nolog'}":
+            _engine_cell_outcome(device, defense_name, logged)
+        for device in ENGINE_CELL_DEVICES
+        for defense_name in ENGINE_CELL_DEFENSES
+        for logged in (False, True)
+    }
+    if request.config.getoption("--update-golden"):
+        ENGINE_CELLS_GOLDEN.write_text(json.dumps(cells, indent=1, sort_keys=True) + "\n")
+        return
+    golden = json.loads(ENGINE_CELLS_GOLDEN.read_text())
+    assert sorted(cells) == sorted(golden)
+    for key, outcome in cells.items():
+        assert outcome == golden[key], f"{key} drifted from the golden"
+    for key, outcome in cells.items():
+        if key.endswith("|log"):
+            logged = dict(outcome)
+            del logged["command_log"]
+            assert logged == cells[key[:-len("log")] + "nolog"], (
+                f"{key}: command logging changed the schedule"
+            )
 
 
 class TestMetrics:
