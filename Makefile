@@ -3,7 +3,8 @@
 #
 #   make test           tier-1 test suite + report smoke + queue chaos
 #                       smoke + kernels smoke + profile smoke +
-#                       conformance smoke + generations smoke (CI gate)
+#                       conformance smoke + generations smoke +
+#                       examples smoke (CI gate)
 #   make smoke          runner `list` + every experiment at tiny scale (JSON)
 #   make recipes-smoke  every checked-in recipe at tiny scale on the queue
 #                       backend (1 worker), byte-diffed against serial
@@ -34,6 +35,7 @@
 #                       generation's own rulebook (zero violations),
 #                       plus a byte-diff of DDR4 `runner check-timing`
 #                       against the pre-refactor golden
+#   make examples-smoke every script in examples/ runs to a zero exit
 #   make golden         regenerate tests/golden/*.json snapshots
 #   make clean-cache    drop the on-disk orchestration result cache
 #
@@ -48,7 +50,7 @@ export PYTHONPATH := src
 
 .PHONY: test smoke recipes-smoke queue-smoke report-smoke \
         kernels-smoke profile-smoke conformance-smoke generations-smoke \
-        bench-smoke bench bench-backends bench-kernels golden \
+        examples-smoke bench-smoke bench bench-backends bench-kernels golden \
         worker clean-cache
 
 test:
@@ -59,6 +61,7 @@ test:
 	$(MAKE) profile-smoke
 	$(MAKE) conformance-smoke
 	$(MAKE) generations-smoke
+	$(MAKE) examples-smoke
 
 report-smoke:
 	$(PYTHON) scripts/report_smoke.py
@@ -77,6 +80,12 @@ conformance-smoke:
 
 generations-smoke:
 	$(PYTHON) scripts/generations_smoke.py
+
+examples-smoke:
+	@for script in examples/*.py; do \
+		echo "examples-smoke: $$script"; \
+		$(PYTHON) $$script > /dev/null || exit 1; \
+	done
 
 smoke:
 	$(PYTHON) -m repro.experiments.runner list

@@ -4,7 +4,8 @@ Each binary spatial feature is used on its own to predict a row's
 measured HC_first among the tested hammer counts: the predictor maps
 each feature value (0 or 1) to the majority HC_first class among rows
 with that value.  Predictions are compared against the measurements to
-build a confusion matrix and a (support-weighted) F1 score.  A
+build a confusion matrix and an F1 score (macro for the weak/strong
+split Fig 9 and Table 3 score, support-weighted for 14 classes).  A
 feature is considered strongly correlated when its F1 exceeds the
 paper's empirically chosen 0.7 threshold.
 """
@@ -34,12 +35,12 @@ def confusion_matrix(
     predicted = np.asarray(predicted)
     if actual.shape != predicted.shape:
         raise ValueError("actual/predicted shapes differ")
-    classes = np.unique(np.concatenate([actual, predicted]))
-    index = {c: i for i, c in enumerate(classes)}
-    matrix = np.zeros((len(classes), len(classes)), dtype=np.int64)
-    for a, p in zip(actual, predicted):
-        matrix[index[a], index[p]] += 1
-    return classes, matrix
+    classes, inverse = np.unique(
+        np.concatenate([actual, predicted]), return_inverse=True
+    )
+    k, n = len(classes), len(actual)
+    counts = np.bincount(inverse[:n] * k + inverse[n:], minlength=k * k)
+    return classes, counts.reshape(k, k).astype(np.int64, copy=False)
 
 
 def f1_score_weighted(actual: np.ndarray, predicted: np.ndarray) -> float:
@@ -164,9 +165,10 @@ def correlate_features(
     """F1 score of every feature against measured HC_first.
 
     With ``binarize=True`` (the Fig 9 / Table 3 configuration) the
-    target is the weak/strong median split and the score is micro-F1;
-    with ``binarize=False`` the full 14-class target is predicted and
-    scored with support-weighted F1.
+    target is the weak/strong median split and the score is macro-F1
+    (:func:`f1_macro`); with ``binarize=False`` the full 14-class
+    target is predicted and scored with support-weighted F1
+    (:func:`f1_score_weighted`).
     """
     matrix = np.asarray(matrix)
     measured = np.asarray(measured)

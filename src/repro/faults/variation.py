@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import stats
+from scipy.special import betaincinv, ndtr
 
 from repro.faults.datapatterns import WCDP_CANDIDATES
 
@@ -35,6 +35,12 @@ HC_GRID: Tuple[int, ...] = tuple(
 )
 
 HC_128K: int = 128 * 1024
+
+#: Per-process memo of generated fields, keyed by ``generate``'s full
+#: argument tuple ``(params, bank, seed)``.  A field is a pure function
+#: of that key, so the memo changes timing, never results; its arrays
+#: are read-only so no consumer can alter a field another one shares.
+_FIELD_MEMO: Dict[tuple, "SpatialVariationField"] = {}
 
 
 @dataclass(frozen=True)
@@ -133,8 +139,21 @@ class SpatialVariationField:
 
         Banks of the same module share ``params`` (hence marginal
         distributions -- Obsvs 2 and 6) but use independent sub-seeds,
-        so row-level values differ across banks.
+        so row-level values differ across banks.  Repeated calls with
+        the same arguments return the same (read-only) field.
         """
+        key = (params, bank, seed)
+        if key not in _FIELD_MEMO:
+            field_ = cls._build(params, bank, seed)
+            for array in (field_.hc_first, field_.ber_sat, field_.wcdp_index):
+                array.flags.writeable = False
+            _FIELD_MEMO[key] = field_
+        return _FIELD_MEMO[key]
+
+    @classmethod
+    def _build(
+        cls, params: VariationFieldParams, bank: int, seed: int
+    ) -> "SpatialVariationField":
         n = params.rows_per_bank
         rng = np.random.default_rng(np.random.SeedSequence([seed, bank, 0xD15C]))
         x = np.arange(n) / max(n - 1, 1)
@@ -191,7 +210,7 @@ class SpatialVariationField:
         """
         lo = 0.9 * params.hc_min
         hi = float(params.hc_max)
-        u = stats.norm.cdf(latent)
+        u = ndtr(latent)
         u = np.clip(u, 1e-9, 1 - 1e-9)
         c = params.hc_concentration
         # Table 5 reports the mean of *grid-measured* values, which a
@@ -203,7 +222,7 @@ class SpatialVariationField:
         grid = np.asarray(HC_GRID, dtype=np.float64)
         for _ in range(4):
             a, b = mean_frac * c, (1.0 - mean_frac) * c
-            values = lo + (hi - lo) * stats.beta.ppf(u, a, b)
+            values = lo + (hi - lo) * betaincinv(a, b, u)
             idx = np.clip(
                 np.searchsorted(grid, values, side="left"), 0, len(grid) - 1
             )

@@ -19,6 +19,7 @@ from repro.analysis.correlation import (
 )
 from repro.analysis.features import SpatialFeature, extract_features
 from repro.faults.modules import FEATURE_CORRELATED_MODULES, MODULES, module_by_label
+from repro.faults.variation import HC_GRID
 
 
 class TestKMeans1d:
@@ -128,6 +129,28 @@ class TestFeatureExtraction:
             extract_features(0, 64, (1,))
 
 
+def loop_confusion_matrix(actual, predicted):
+    """Reference confusion matrix: count one sample at a time."""
+    classes = np.unique(np.concatenate([actual, predicted]))
+    index = {c: i for i, c in enumerate(classes)}
+    matrix = np.zeros((len(classes), len(classes)), dtype=np.int64)
+    for a, p in zip(actual, predicted):
+        matrix[index[a], index[p]] += 1
+    return classes, matrix
+
+
+_RNG = np.random.default_rng(16)
+CONFUSION_CASES = {
+    "random-ints": (_RNG.integers(0, 6, 500), _RNG.integers(2, 9, 500)),
+    "hc-grid-floats": (
+        _RNG.choice(np.asarray(HC_GRID, dtype=np.float64), 700),
+        _RNG.choice(np.asarray(HC_GRID, dtype=np.float64), 700),
+    ),
+    "single-class": (np.full(9, 7, dtype=np.int8), np.full(9, 7, dtype=np.int8)),
+    "empty": (np.array([]), np.array([])),
+}
+
+
 class TestF1Machinery:
     def test_confusion_matrix(self):
         actual = np.array([0, 0, 1, 1])
@@ -135,6 +158,21 @@ class TestF1Machinery:
         classes, matrix = confusion_matrix(actual, predicted)
         assert list(classes) == [0, 1]
         assert matrix[0, 0] == 1 and matrix[0, 1] == 1 and matrix[1, 1] == 2
+
+    @pytest.mark.parametrize("case", sorted(CONFUSION_CASES))
+    def test_confusion_matrix_matches_per_sample_count(self, case):
+        actual, predicted = CONFUSION_CASES[case]
+        classes, matrix = confusion_matrix(actual, predicted)
+        want_classes, want_matrix = loop_confusion_matrix(actual, predicted)
+        assert classes.dtype == want_classes.dtype
+        assert np.array_equal(classes, want_classes)
+        assert matrix.dtype == np.int64
+        assert matrix.shape == want_matrix.shape
+        assert np.array_equal(matrix, want_matrix)
+
+    def test_confusion_matrix_rejects_mismatched_shapes(self):
+        with pytest.raises(ValueError):
+            confusion_matrix(np.array([0, 1, 1]), np.array([0, 1]))
 
     def test_f1_perfect(self):
         y = np.array([0, 1, 2, 0, 1, 2])

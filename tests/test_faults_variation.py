@@ -1,10 +1,18 @@
 """Tests for the spatial variation field generator and module registry."""
 
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.faults import variation
 from repro.faults.datapatterns import DATA_PATTERNS, DataPattern, bitwise_inverse
 from repro.faults.modules import (
     FEATURE_CORRELATED_MODULES,
@@ -20,6 +28,8 @@ from repro.faults.variation import (
     SpatialVariationField,
     VariationFieldParams,
 )
+
+SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestDataPatterns:
@@ -113,8 +123,11 @@ class TestFieldGeneration:
 
     def test_deterministic_for_same_seed(self):
         a = generate("S0", seed=3)
+        variation._FIELD_MEMO.clear()  # regenerate, not replay the memo
         b = generate("S0", seed=3)
+        assert a is not b
         assert np.array_equal(a.hc_first, b.hc_first)
+        assert np.array_equal(a.ber_sat, b.ber_sat)
         assert np.array_equal(a.wcdp_index, b.wcdp_index)
 
     def test_different_banks_differ_rowwise(self):
@@ -158,6 +171,76 @@ class TestFieldGeneration:
                 rows_per_bank=16, hc_min=10, hc_avg=50, hc_max=200,
                 ber_mean=1.5, ber_cv_pct=1.0,
             )
+
+
+class TestFieldMemo:
+    def test_same_arguments_return_the_same_field(self):
+        assert generate("M2", rows=512, seed=7) is generate("M2", rows=512, seed=7)
+        assert generate("M2", rows=512, seed=7) is not generate("M2", rows=512, seed=8)
+
+    def test_memoized_arrays_are_read_only(self):
+        field = generate("M2", rows=512, seed=7)
+        for name in ("hc_first", "ber_sat", "wcdp_index"):
+            with pytest.raises(ValueError):
+                getattr(field, name)[0] = 1
+
+
+def test_program_does_not_import_scipy_stats():
+    """No interpreter the program starts pays for ``scipy.stats``.
+
+    Every CLI run, pool worker and queue worker imports the runner and
+    every experiment harness; ``scipy.stats`` alone would add over a
+    second and tens of MiB to each, for functions ``scipy.special``
+    provides directly.
+    """
+    code = (
+        "import sys\n"
+        "import repro.experiments.runner\n"
+        "from repro.experiments import api\n"
+        "api.load_all()\n"
+        "assert 'scipy.stats' not in sys.modules, 'scipy.stats was imported'\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(SRC_DIR)),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+
+
+VARIATION_FIELDS_GOLDEN = Path(__file__).parent / "golden" / "variation_fields.json"
+
+
+def test_variation_fields_match_golden(request):
+    """Every module's fields, pinned bit for bit by their array bytes.
+
+    Covers all 15 modules x banks {0, 1} x seeds {0, 3} at 512 and
+    2,048 rows: the geometries the experiments and the benchmark
+    characterize.  Regenerate with ``pytest
+    tests/test_faults_variation.py --update-golden`` only after an
+    intentional change to the fault model.
+    """
+    digests = {}
+    for label in sorted(MODULES):
+        for rows in (512, 2048):
+            for bank in (0, 1):
+                for seed in (0, 3):
+                    field = generate(label, rows=rows, bank=bank, seed=seed)
+                    digests[f"{label}|rows{rows}|bank{bank}|seed{seed}"] = {
+                        name: hashlib.sha256(
+                            getattr(field, name).tobytes()
+                        ).hexdigest()
+                        for name in ("hc_first", "ber_sat", "wcdp_index")
+                    }
+    if request.config.getoption("--update-golden"):
+        VARIATION_FIELDS_GOLDEN.write_text(
+            json.dumps(digests, indent=1, sort_keys=True) + "\n"
+        )
+        return
+    golden = json.loads(VARIATION_FIELDS_GOLDEN.read_text())
+    assert sorted(digests) == sorted(golden)
+    for key, digest in digests.items():
+        assert digest == golden[key], f"{key} drifted from the golden"
 
 
 class TestModuleRegistry:
