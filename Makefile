@@ -20,8 +20,9 @@
 #                       sweep (1/8/32) -> BENCH_chunks.json
 #   make bench-kernels  loop-oracle vs vectorized characterization
 #                       timings -> BENCH_kernels.json
-#   make kernels-smoke  tiny platform characterization, kernel path
-#                       byte-diffed against the loop oracle
+#   make kernels-smoke  tiny platform characterization and Fig 8 boundary
+#                       search, kernel paths byte-diffed against their
+#                       loop oracles
 #   make profile-smoke  tiny sweep -> `runner profile`: every per-task
 #                       profiling stamp complete and non-negative
 #   make conformance-smoke

@@ -1,13 +1,20 @@
 #!/usr/bin/env python
-"""`make kernels-smoke`: kernel vs loop-oracle characterization diff.
+"""`make kernels-smoke`: kernels vs loop oracles, byte-diffed.
 
-Runs one tiny platform-mode bank characterization through the batched
-kernel path and through the retained per-row loop oracle, then
-byte-diffs every field of the two :class:`BankProfile` objects.  This
-is the cheap ``make test``-time guarantee that the vectorized
-measurement path cannot drift from the command-faithful loop without
+On one tiny 128-row XOR_FOLD module (32-row subarrays), runs
+
+* one platform-mode bank characterization through the batched kernel
+  path and through the retained per-row loop oracle, then byte-diffs
+  every field of the two :class:`BankProfile` objects;
+* Fig 8's subarray boundary search through the batched probe kernel
+  and through the per-row loop oracle, then diffs the two boundary
+  lists.
+
+This is the cheap ``make test``-time guarantee that the vectorized
+measurement paths cannot drift from the command-faithful loops without
 CI noticing; the full cross-product lives in ``tests/test_kernels.py``
-and the timed comparison in ``benchmarks/bench_kernels.py``.
+and the timed characterization comparison in
+``benchmarks/bench_kernels.py``.
 """
 
 from __future__ import annotations
@@ -20,13 +27,18 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from repro.characterization.reference import characterize_bank_loop  # noqa: E402
+from repro.bender.infrastructure import TestPlatform  # noqa: E402
+from repro.characterization.reference import (  # noqa: E402
+    characterize_bank_loop,
+    find_boundary_candidates_loop,
+)
 from repro.characterization.runner import (  # noqa: E402
     CharacterizationConfig,
     CharacterizationRunner,
 )
 from repro.dram.mapping import ScramblingScheme  # noqa: E402
 from repro.faults.modules import Manufacturer, ModuleSpec  # noqa: E402
+from repro.reveng.subarray import SubarrayReverseEngineer  # noqa: E402
 
 SPEC = ModuleSpec(
     label="SMOKE",
@@ -84,6 +96,14 @@ def diff_profiles(kernel, loop) -> list:
     return problems
 
 
+def boundary_search(find) -> list:
+    """One fresh platform's Fig 8 boundary search through ``find``."""
+    platform = TestPlatform(
+        SPEC, rows_per_bank=CONFIG.rows_per_bank, seed=CONFIG.seed
+    )
+    return find(SubarrayReverseEngineer(platform, seed=CONFIG.seed), 0)
+
+
 def main() -> int:
     print("kernels-smoke: 128-row XOR_FOLD bank, kernel vs loop oracle")
     kernel = CharacterizationRunner(SPEC, CONFIG).characterize_bank(0)
@@ -91,6 +111,15 @@ def main() -> int:
         CharacterizationRunner(SPEC, CONFIG), 0
     )
     problems = diff_profiles(kernel, loop)
+    kernel_boundaries = boundary_search(
+        SubarrayReverseEngineer.find_boundary_candidates
+    )
+    loop_boundaries = boundary_search(find_boundary_candidates_loop)
+    if kernel_boundaries != loop_boundaries:
+        problems.append(
+            f"boundary candidates: kernel={kernel_boundaries!r} "
+            f"loop={loop_boundaries!r}"
+        )
     if problems:
         for problem in problems:
             print(f"  MISMATCH {problem}")
@@ -99,6 +128,7 @@ def main() -> int:
         f"  profiles bit-identical ({kernel.rows} rows, "
         f"{len(kernel.ber_by_hc)} HC points, {CONFIG.iterations} iterations)"
     )
+    print(f"  boundary candidates identical: {kernel_boundaries}")
     return 0
 
 

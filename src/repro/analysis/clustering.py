@@ -83,23 +83,29 @@ def silhouette_score_1d(
             index = np.concatenate([index, extras])
         data, lab = data[index], lab[index]
 
-    distance = np.abs(data[:, None] - data[None, :])
-    scores = np.zeros(len(data))
-    cluster_masks = {c: lab == c for c in np.unique(lab)}
-    for i in range(len(data)):
-        own = cluster_masks[lab[i]]
-        n_own = own.sum()
-        if n_own <= 1:
-            scores[i] = 0.0
-            continue
-        a = distance[i][own].sum() / (n_own - 1)
-        b = np.inf
-        for c, mask in cluster_masks.items():
-            if c == lab[i]:
-                continue
-            b = min(b, distance[i][mask].mean())
-        denominator = max(a, b)
-        scores[i] = 0.0 if denominator == 0 else (b - a) / denominator
+    # In place: a second n x n temporary costs more than the arithmetic.
+    distance = data[:, None] - data[None, :]
+    np.abs(distance, out=distance)
+    n = len(data)
+    own_sum = np.zeros(n)
+    n_own = np.zeros(n, dtype=np.int64)
+    b = np.full(n, np.inf)
+    for c in np.unique(lab):
+        mask = lab == c
+        # ``np.compress`` keeps the members C-contiguous, so each row's
+        # sum is the same pairwise sum as over that row's 1-D slice.
+        sums = np.compress(mask, distance, axis=1).sum(axis=1)
+        count = mask.sum()
+        own_sum[mask] = sums[mask]
+        n_own[mask] = count
+        b[~mask] = np.minimum(b[~mask], sums[~mask] / count)
+    scores = np.zeros(n)
+    scored = n_own > 1
+    a = own_sum[scored] / (n_own[scored] - 1)
+    b = b[scored]
+    denominator = np.maximum(a, b)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scores[scored] = np.where(denominator == 0, 0.0, (b - a) / denominator)
     return float(scores.mean())
 
 

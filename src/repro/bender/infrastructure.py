@@ -336,6 +336,72 @@ class TestPlatform:
         observed = self.device.read_row(bank, victim_row)
         return count_mismatched_bits(observed, expected) > 0
 
+    def single_sided_disturbs_bank(
+        self,
+        bank: int,
+        aggressor_rows: Sequence[int],
+        victim_rows: Sequence[int],
+        hammer_count: int,
+    ) -> np.ndarray:
+        """Batched ``single_sided_disturbs``: one bool per row pair.
+
+        Bit-identical to calling :meth:`single_sided_disturbs` once per
+        ``(aggressor, victim)`` pair (the kernel tests assert this), but
+        every pair is priced through the fault model's array kernels in
+        one pass.  Each probe rewrites its victim and its aggressor
+        before hammering, which zeroes their exposure and flip count, so
+        a probe's outcome depends on that probe alone: the victim flips
+        iff the exposure from ``hammer_count`` closures of one aggressor
+        at physical distance 1 or 2 in its subarray reaches a flip
+        target above 0.  Addresses are logical, as in the per-pair call.
+
+        Device bookkeeping (test clock, activation counts) advances by
+        the per-pair loop's totals, added in one step rather than probe
+        by probe.  No cell rows are materialized and no exposure is
+        recorded: the loop's writes, flips and bystander exposure are
+        erased by any later measurement's own initialization before
+        they can be observed.
+        """
+        if hammer_count < 0:
+            raise ValueError("hammer count must be non-negative")
+        device = self.device
+        timing = device.timing
+        aggressors = device.scrambler.to_physical_array(aggressor_rows)
+        victims = device.scrambler.to_physical_array(victim_rows)
+        if aggressors.shape != victims.shape:
+            raise ValueError("need one victim row per aggressor row")
+
+        sa = self.geometry.subarray_rows
+        distance = np.abs(victims - aggressors)
+        weight = np.where(distance == 1, 1.0, 0.0)
+        weight[distance == 2] = self.model.blast_damping
+        weight[victims // sa != aggressors // sa] = 0.0
+        m = rowpress_multiplier(
+            max(timing.tRAS, T_AGG_ON_MIN_NS), self.spec.rowpress_exponent
+        )
+        exposure = 0.5 * m * weight * hammer_count
+        field_ = self.model.field(bank)
+        affinity = self.model._affinity_for_rows(bank, field_, victims)
+        targets = self.model.flip_targets(
+            h_eq=exposure * affinity,
+            hcf=field_.hc_first[victims],
+            ber_sat=field_.ber_sat[victims],
+            affinity=affinity,
+        )
+        # A victim that is its own aggressor reads back the aggressor
+        # fill its second write left behind.
+        disturbed = (targets > 0) | (distance == 0)
+
+        row_ns = (
+            timing.tRCD
+            + self.geometry.columns_per_row * timing.tCCD_L
+            + timing.tRP
+        )
+        hammer_ns = hammer_count * (timing.tRAS + timing.tRP)
+        device.clock_ns += victims.size * (3 * row_ns + hammer_ns)
+        device.bank(bank).activation_count += victims.size * hammer_count
+        return disturbed
+
     def try_rowclone(self, bank: int, src_row: int, dst_row: int) -> bool:
         """Attempt an intra-subarray RowClone; True if data was copied.
 

@@ -1,24 +1,33 @@
-"""Loop-reference oracle for the batched platform characterization.
+"""Loop-reference oracles for the batched platform kernels.
 
-This module preserves the original per-row Algorithm 1 loop: one
-:meth:`repro.bender.TestPlatform.measure_ber` call per (row, pattern,
-hammer count, iteration).  It is deliberately slow and deliberately
-simple -- its only job is to be an independently-auditable oracle that
-the vectorized :meth:`CharacterizationRunner._characterize_bank_platform`
-must match bit-for-bit (asserted by the property tests and the
-``make test`` kernels smoke).
+This module preserves two original per-row loops:
+
+* the Algorithm 1 loop: one
+  :meth:`repro.bender.TestPlatform.measure_ber` call per (row, pattern,
+  hammer count, iteration), which the vectorized
+  :meth:`CharacterizationRunner._characterize_bank_platform` must match;
+* Fig 8's subarray boundary search: one
+  :meth:`repro.bender.TestPlatform.single_sided_disturbs` call per row
+  side, which the batched
+  :meth:`SubarrayReverseEngineer.find_boundary_candidates` must match.
+
+They are deliberately slow and deliberately simple -- their only job
+is to be independently-auditable oracles that the kernels must match
+bit-for-bit (asserted by the property tests and the ``make test``
+kernels smoke).
 
 Do not optimize this file.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.characterization.runner import BankProfile, CharacterizationRunner
 from repro.faults.datapatterns import DATA_PATTERNS, WCDP_CANDIDATES
+from repro.reveng.subarray import SubarrayReverseEngineer
 
 
 def characterize_bank_loop(
@@ -79,3 +88,42 @@ def characterize_bank_loop(
         row_indices=np.asarray(row_list, dtype=np.int64),
         bank_rows=config.rows_per_bank,
     )
+
+
+def find_boundary_candidates_loop(
+    engineer: SubarrayReverseEngineer,
+    bank: int,
+    rows: Optional[Sequence[int]] = None,
+) -> List[int]:
+    """Fig 8's boundary search with the per-row reference loop.
+
+    One single-sided probe of each physical row's lower neighbour, and
+    of its upper neighbour when the lower one stayed undisturbed; the
+    same physical boundary list, in probe order, as
+    :meth:`SubarrayReverseEngineer.find_boundary_candidates`.
+    """
+    geometry = engineer.platform.geometry
+    scrambler = engineer.platform.device.scrambler
+    probe_rows = list(rows) if rows is not None else list(
+        range(geometry.rows_per_bank)
+    )
+    boundaries = []
+    for physical in probe_rows:
+        if physical == 0:
+            boundaries.append(0)
+            continue
+        aggressor = scrambler.to_logical(physical)
+        below = scrambler.to_logical(physical - 1)
+        below_disturbed = engineer.platform.single_sided_disturbs(
+            bank, aggressor, below, engineer.probe_hammer_count
+        )
+        if below_disturbed:
+            continue
+        if physical + 1 < geometry.rows_per_bank:
+            above = scrambler.to_logical(physical + 1)
+            if not engineer.platform.single_sided_disturbs(
+                bank, aggressor, above, engineer.probe_hammer_count
+            ):
+                continue  # disturbs neither side: not a row at all
+        boundaries.append(physical)
+    return boundaries

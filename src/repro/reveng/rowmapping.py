@@ -9,14 +9,10 @@ which of them disturb the victim: those are its physical neighbours.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, List, Optional, Sequence
 
 from repro.bender.infrastructure import TestPlatform
-from repro.dram.cells import count_mismatched_bits
 from repro.dram.mapping import RowScrambler, ScramblingScheme
-from repro.faults.datapatterns import DataPattern
 
 
 def recover_physical_neighbors(
@@ -37,22 +33,15 @@ def recover_physical_neighbors(
     """
     hc_max = platform.model.true_hc_first(bank).max()
     count = hammer_count or int(hc_max * 4) + 1
-    pattern = DataPattern.ROW_STRIPE
-    expected = np.full(
-        platform.geometry.row_bytes, pattern.victim_fill, dtype=np.uint8
+    candidates = [
+        victim_row + offset
+        for offset in range(-search_radius, search_radius + 1)
+        if offset != 0 and platform.geometry.valid_row(victim_row + offset)
+    ]
+    disturbed = platform.single_sided_disturbs_bank(
+        bank, candidates, [victim_row] * len(candidates), count
     )
-    neighbors = []
-    for offset in range(-search_radius, search_radius + 1):
-        candidate = victim_row + offset
-        if offset == 0 or not platform.geometry.valid_row(candidate):
-            continue
-        platform.device.write_row(bank, victim_row, pattern.victim_fill)
-        platform.device.write_row(bank, candidate, pattern.aggressor_fill)
-        platform.device.hammer(bank, [candidate], count)
-        observed = platform.device.read_row(bank, victim_row)
-        if count_mismatched_bits(observed, expected) > 0:
-            neighbors.append(candidate)
-    return neighbors
+    return [row for row, hit in zip(candidates, disturbed.tolist()) if hit]
 
 
 def infer_scrambling_scheme(

@@ -68,33 +68,44 @@ class SubarrayReverseEngineer:
         Subarrays are a property of the *physical* row space; the probe
         therefore translates through the (already reverse-engineered)
         row mapping before hammering -- Section 4.2's prerequisite.
-        ``rows`` and the returned boundary list are physical indices.
+        ``rows`` and the returned boundary list are physical indices,
+        in probe order.  The probes run as two batched
+        :meth:`TestPlatform.single_sided_disturbs_bank` calls; the
+        per-row loop they replace is the oracle
+        :func:`repro.characterization.reference.find_boundary_candidates_loop`.
         """
-        geometry = self.platform.geometry
-        scrambler = self.platform.device.scrambler
-        probe_rows = list(rows) if rows is not None else list(
-            range(geometry.rows_per_bank)
+        platform = self.platform
+        n_rows = platform.geometry.rows_per_bank
+        to_logical = platform.device.scrambler.to_logical
+        count = self.probe_hammer_count
+        probe = np.asarray(
+            list(rows) if rows is not None else range(n_rows), dtype=np.int64
         )
-        boundaries = []
-        for physical in probe_rows:
-            if physical == 0:
-                boundaries.append(0)
-                continue
-            aggressor = scrambler.to_logical(physical)
-            below = scrambler.to_logical(physical - 1)
-            below_disturbed = self.platform.single_sided_disturbs(
-                bank, aggressor, below, self.probe_hammer_count
-            )
-            if below_disturbed:
-                continue
-            if physical + 1 < geometry.rows_per_bank:
-                above = scrambler.to_logical(physical + 1)
-                if not self.platform.single_sided_disturbs(
-                    bank, aggressor, above, self.probe_hammer_count
-                ):
-                    continue  # disturbs neither side: not a row at all
-            boundaries.append(physical)
-        return boundaries
+        # Row 0 has no lower side and is always a boundary.  Every other
+        # row probes its lower neighbour first; only the rows that left
+        # it undisturbed go on to probe their upper one.
+        interior = probe != 0
+        probed = probe[interior]
+        aggressors = np.asarray(
+            [to_logical(row) for row in probed.tolist()], dtype=np.int64
+        )
+        below_disturbed = platform.single_sided_disturbs_bank(
+            bank, aggressors, [to_logical(row - 1) for row in probed.tolist()],
+            count,
+        )
+        ask_above = ~below_disturbed & (probed + 1 < n_rows)
+        above_disturbed = platform.single_sided_disturbs_bank(
+            bank,
+            aggressors[ask_above],
+            [to_logical(row + 1) for row in probed[ask_above].tolist()],
+            count,
+        )
+        # A row that disturbs neither side is not a row at all.
+        is_boundary = ~below_disturbed
+        is_boundary[ask_above] = above_disturbed
+        keep = ~interior
+        keep[interior] = is_boundary
+        return probe[keep].tolist()
 
     # -- Clustering (Fig 8) ---------------------------------------------
 
@@ -107,11 +118,10 @@ class SubarrayReverseEngineer:
         score peak at the true subarray count.
         """
         n = self.platform.geometry.rows_per_bank
-        feature = np.zeros(n)
         boundary_arr = np.asarray(sorted(boundary_rows))
-        for row in range(n):
-            feature[row] = np.searchsorted(boundary_arr, row, side="right")
-        return feature
+        return np.searchsorted(boundary_arr, np.arange(n), side="right").astype(
+            np.float64
+        )
 
     def infer(
         self,

@@ -51,6 +51,83 @@ class TestKMeans1d:
             kmeans_1d(np.zeros((3, 3)), 2)
 
 
+def loop_silhouette_score_1d(values, labels, *, max_points=2000, seed=0):
+    """Reference silhouette: one point at a time, one cluster at a time."""
+    data = np.asarray(values, dtype=np.float64)
+    lab = np.asarray(labels)
+    if data.shape != lab.shape:
+        raise ValueError("values and labels must align")
+    unique = np.unique(lab)
+    if len(unique) < 2:
+        raise ValueError("silhouette needs at least two clusters")
+    if len(data) > max_points:
+        rng = np.random.default_rng(seed)
+        index = rng.choice(len(data), size=max_points, replace=False)
+        missing = np.setdiff1d(unique, np.unique(lab[index]))
+        if len(missing):
+            extras = [np.where(lab == c)[0][0] for c in missing]
+            index = np.concatenate([index, extras])
+        data, lab = data[index], lab[index]
+
+    distance = np.abs(data[:, None] - data[None, :])
+    scores = np.zeros(len(data))
+    cluster_masks = {c: lab == c for c in np.unique(lab)}
+    for i in range(len(data)):
+        own = cluster_masks[lab[i]]
+        n_own = own.sum()
+        if n_own <= 1:
+            scores[i] = 0.0
+            continue
+        a = distance[i][own].sum() / (n_own - 1)
+        b = np.inf
+        for c, mask in cluster_masks.items():
+            if c == lab[i]:
+                continue
+            b = min(b, distance[i][mask].mean())
+        denominator = max(a, b)
+        scores[i] = 0.0 if denominator == 0 else (b - a) / denominator
+    return float(scores.mean())
+
+
+def _random_silhouette_cases(scale, count=20):
+    rng = np.random.default_rng(int(np.log10(scale)) + 100)
+    cases = []
+    for _ in range(count):
+        n = int(rng.integers(2, 400))
+        labels = rng.integers(0, int(rng.integers(2, 8)), n)
+        labels[:2] = (0, 1)  # at least two clusters
+        cases.append((rng.normal(size=n) * scale, labels, {}))
+    return cases
+
+
+_STEP_FEATURE = np.searchsorted(
+    np.asarray([0, 64, 128, 200, 320, 450]), np.arange(512), side="right"
+).astype(np.float64)
+SILHOUETTE_CASES = {
+    **{
+        f"normal-x{scale:g}": _random_silhouette_cases(scale)
+        for scale in (1e-3, 1.0, 1e3, 1e6)
+    },
+    # Fig 8's feature: an integer-valued step function, k-means labels.
+    "integer-feature": [
+        (_STEP_FEATURE, kmeans_1d(_STEP_FEATURE, k)[0], {}) for k in range(2, 10)
+    ],
+    "singleton-clusters": [
+        (np.array([0.0, 5.0, 5.5, 6.0, 20.0]), np.array([0, 1, 1, 1, 2]), {}),
+        (np.array([1.0, 2.0]), np.array([0, 1]), {}),
+    ],
+    # a == b == 0: the zero-denominator branch.
+    "all-equal": [(np.full(40, 2.5), np.arange(40) % 2, {})],
+    "subsampled": [
+        (np.random.default_rng(5).normal(size=700),
+         np.random.default_rng(6).integers(0, 4, 700), {"max_points": 300}),
+        (np.concatenate([np.zeros(3000), np.full(5, 100.0)]),
+         np.concatenate([np.zeros(3000), np.ones(5)]).astype(int),
+         {"max_points": 100, "seed": 3}),
+    ],
+}
+
+
 class TestSilhouette:
     def test_perfect_separation_scores_high(self):
         data = np.concatenate([np.zeros(40), np.full(40, 100.0)])
@@ -66,6 +143,18 @@ class TestSilhouette:
     def test_requires_two_clusters(self):
         with pytest.raises(ValueError):
             silhouette_score_1d(np.arange(10.0), np.zeros(10, dtype=int))
+
+    @pytest.mark.parametrize("case", sorted(SILHOUETTE_CASES))
+    def test_matches_per_point_loop(self, case):
+        """The per-cluster kernel equals the per-point loop exactly."""
+        for values, labels, options in SILHOUETTE_CASES[case]:
+            assert silhouette_score_1d(
+                values, labels, **options
+            ) == loop_silhouette_score_1d(values, labels, **options)
+
+    def test_rejects_misaligned_labels(self):
+        with pytest.raises(ValueError):
+            silhouette_score_1d(np.arange(10.0), np.zeros(9, dtype=int))
 
     def test_subsampling_keeps_all_clusters(self):
         data = np.concatenate([np.zeros(3000), np.full(5, 100.0)])

@@ -1,12 +1,15 @@
 """The vectorized measurement kernels against their loop references.
 
 The batched hot paths (``materialize_bank``, ``measure_ber_bank``, the
-batched platform characterization) must be *bit-for-bit* equal to the
+batched platform characterization, ``single_sided_disturbs_bank`` and
+Fig 8's boundary search) must be *bit-for-bit* equal to the
 per-row/per-victim loops they replaced -- not approximately equal --
 because the sha256 task cache and the golden files both key on exact
-bytes.  The per-row loop survives as
-:func:`repro.characterization.reference.characterize_bank_loop` purely
-to serve as the oracle here and in the ``make test`` smoke.
+bytes.  The per-row loops survive as
+:func:`repro.characterization.reference.characterize_bank_loop` and
+:func:`repro.characterization.reference.find_boundary_candidates_loop`
+purely to serve as the oracles here and in the ``make test`` smoke;
+``TestPlatform.single_sided_disturbs`` is the per-probe reference.
 
 This file also carries the regression tests for the measurement-path
 bugs fixed alongside the kernels (subset-row profiles, ``ber_at_128k``
@@ -17,7 +20,10 @@ import numpy as np
 import pytest
 
 from tests.conftest import make_tiny_spec
-from repro.characterization.reference import characterize_bank_loop
+from repro.characterization.reference import (
+    characterize_bank_loop,
+    find_boundary_candidates_loop,
+)
 from repro.characterization.runner import (
     BankProfile,
     CharacterizationConfig,
@@ -25,8 +31,9 @@ from repro.characterization.runner import (
 )
 from repro.bender.infrastructure import TestPlatform
 from repro.dram.mapping import ScramblingScheme
-from repro.faults.datapatterns import DATA_PATTERNS
+from repro.faults.datapatterns import DATA_PATTERNS, DataPattern
 from repro.faults.disturbance import BER_OVERSHOOT_CAP, DisturbanceModel
+from repro.reveng.subarray import SubarrayReverseEngineer
 
 GRID = (16, 24, 32, 48, 64, 96, 160)
 #: Edge rows, subarray-boundary rows, and interior rows of the tiny
@@ -107,6 +114,113 @@ class TestMeasureBerBank:
                 for row in rows
             ]
             assert flips.tolist() == expected, scheme
+
+
+#: (aggressor, victim) pairs as *physical* rows of the tiny module:
+#: distances 1, 2 and 3 inside a subarray, the same distances across
+#: the 63/64 subarray boundary, the bank's edge rows 0 and 255, and a
+#: row probed against itself.
+PHYSICAL_PROBE_PAIRS = [
+    (10, 11), (10, 9), (10, 12), (10, 8), (10, 13), (10, 7),
+    (63, 64), (64, 63), (62, 64), (65, 63), (61, 64),
+    (1, 0), (0, 1), (2, 0), (3, 0),
+    (254, 255), (255, 254), (253, 255), (252, 255),
+    (40, 40),
+]
+#: Single-sided hammer counts from below every HC_first at distance 1
+#: (0.5 x 30 < 20) to far above it, where distance-2 blast flips too.
+PROBE_HAMMER_COUNTS = (0, 30, 100, 400, 2000)
+SCHEMES = (
+    ScramblingScheme.IDENTITY,
+    ScramblingScheme.MIRROR,
+    ScramblingScheme.XOR_FOLD,
+)
+
+
+class TestSingleSidedDisturbsBank:
+    @pytest.mark.parametrize("hinted", [False, True])
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_matches_per_pair_probe(self, scheme, hinted):
+        """One batched call == one ``single_sided_disturbs`` per pair,
+        and the device clock and activation count advance alike."""
+        spec = make_tiny_spec(scrambling=scheme)
+        batched = TestPlatform(spec, rows_per_bank=256, seed=7)
+        loop = TestPlatform(spec, rows_per_bank=256, seed=7)
+        if hinted:
+            # Pattern hints scale the victim's exposure by its affinity;
+            # column stripes (0.45) push some probes below threshold.
+            for slot, (_, victim) in enumerate(PHYSICAL_PROBE_PAIRS):
+                for platform in (batched, loop):
+                    platform.model.set_pattern_hint(
+                        2, victim, list(DataPattern)[slot % len(DataPattern)]
+                    )
+        to_logical = batched.device.scrambler.to_logical
+        aggressors = [to_logical(a) for a, _ in PHYSICAL_PROBE_PAIRS]
+        victims = [to_logical(v) for _, v in PHYSICAL_PROBE_PAIRS]
+        outcomes = set()
+        for hammer_count in PROBE_HAMMER_COUNTS:
+            disturbed = batched.single_sided_disturbs_bank(
+                2, aggressors, victims, hammer_count
+            )
+            expected = [
+                loop.single_sided_disturbs(2, a, v, hammer_count)
+                for a, v in zip(aggressors, victims)
+            ]
+            assert disturbed.tolist() == expected, hammer_count
+            outcomes.update(zip(PHYSICAL_PROBE_PAIRS, expected))
+        # The pairs exercise both outcomes at distance 1 and 2.
+        for distance in (1, 2):
+            seen = {hit for (a, v), hit in outcomes if abs(a - v) == distance}
+            assert seen == {False, True}, distance
+        assert batched.device.clock_ns == loop.device.clock_ns
+        assert (
+            batched.device.activation_count(2)
+            == loop.device.activation_count(2)
+        )
+
+    def test_empty_batch(self):
+        platform = TestPlatform(make_tiny_spec(), rows_per_bank=256, seed=7)
+        disturbed = platform.single_sided_disturbs_bank(0, [], [], 100)
+        assert disturbed.tolist() == []
+        assert platform.device.clock_ns == 0.0
+
+    def test_rejects_negative_hammer_count(self):
+        platform = TestPlatform(make_tiny_spec(), rows_per_bank=256, seed=7)
+        with pytest.raises(ValueError):
+            platform.single_sided_disturbs_bank(0, [1], [2], -1)
+
+
+class TestBoundarySearchKernel:
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            None,
+            list(range(130)),
+            # Unsorted, with duplicates and both edge rows.
+            [200, 64, 3, 64, 0, 255, 128, 0, 191, 192, 63, 65, 200],
+        ],
+        ids=["full-bank", "subset", "unsorted-duplicates"],
+    )
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_matches_loop_oracle(self, scheme, rows):
+        """The two batched probe calls find the same boundaries, in the
+        same order, as the per-row loop."""
+        spec = make_tiny_spec(scrambling=scheme)
+        batched = TestPlatform(spec, rows_per_bank=256, seed=11)
+        loop = TestPlatform(spec, rows_per_bank=256, seed=11)
+        boundaries = SubarrayReverseEngineer(
+            batched, seed=1
+        ).find_boundary_candidates(0, rows)
+        expected = find_boundary_candidates_loop(
+            SubarrayReverseEngineer(loop, seed=1), 0, rows
+        )
+        assert boundaries == expected
+        assert set(expected) & {0, 64, 128, 192}
+        assert batched.device.clock_ns == loop.device.clock_ns
+        assert (
+            batched.device.activation_count(0)
+            == loop.device.activation_count(0)
+        )
 
 
 class TestCharacterizationKernel:

@@ -1,10 +1,16 @@
 """Tests for subarray and row-mapping reverse engineering."""
 
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.bender.infrastructure import TestPlatform
 from repro.dram.mapping import ScramblingScheme
+from repro.experiments.fig8_subarray_silhouette import _subarray_task
+from repro.orchestration import make_task
 from repro.reveng.rowmapping import infer_scrambling_scheme, recover_physical_neighbors
 from repro.reveng.subarray import SubarrayReverseEngineer
 
@@ -102,3 +108,56 @@ class TestSubarrayReverseEngineering:
         rows = list(range(0, 256, 1))[:130]  # covers boundaries 0, 64, 128
         boundaries = engineer.find_boundary_candidates(0, rows=rows)
         assert boundaries == [0, 64, 128]
+
+
+FIG8_GOLDEN = Path(__file__).parent / "golden" / "fig8_inference.json"
+
+#: (module, seed, rows per bank) cases the Fig 8 golden pins: the five
+#: Samsung modules the figure shows, plus one SK Hynix module (H1, the
+#: XOR_FOLD scrambling) and one Micron module (M1), at the benchmark's
+#: 512 rows; S3 at 2,048 rows has 330-row subarrays and more rows than
+#: ``silhouette_score_1d``'s ``max_points``, so it exercises the
+#: subsampled silhouette.
+FIG8_CASES = [
+    (label, seed, 512)
+    for label in ("H1", "M1", "S0", "S1", "S2", "S3", "S4")
+    for seed in (0, 3)
+] + [("S3", 0, 2048)]
+
+
+def test_fig8_inference_matches_golden(request):
+    """Fig 8's per-module inference, pinned bit for bit.
+
+    Runs the experiment's own task (probe, RowClone validation, k
+    sweep) and records the boundary list, the inferred k, every
+    silhouette score as ``float.hex()`` and the sha256 of the labels.
+    Regenerate with ``pytest tests/test_reveng.py --update-golden`` only
+    after an intentional change to the reverse engineering.
+    """
+    inferences = {}
+    for label, seed, rows in FIG8_CASES:
+        task = make_task(
+            ("fig8", "subarray", label), _subarray_task, (label, rows, seed),
+            base_seed=seed,
+        )
+        inference, _ = task.execute()
+        inferences[f"{label}|rows{rows}|seed{seed}"] = {
+            "boundary_rows": [int(row) for row in inference.boundary_rows],
+            "inferred_k": int(inference.inferred_k),
+            "silhouette_by_k": {
+                str(k): float(score).hex()
+                for k, score in sorted(inference.silhouette_by_k.items())
+            },
+            "labels_sha256": hashlib.sha256(
+                inference.labels.tobytes()
+            ).hexdigest(),
+        }
+    if request.config.getoption("--update-golden"):
+        FIG8_GOLDEN.write_text(
+            json.dumps(inferences, indent=1, sort_keys=True) + "\n"
+        )
+        return
+    golden = json.loads(FIG8_GOLDEN.read_text())
+    assert sorted(inferences) == sorted(golden)
+    for key, inference in inferences.items():
+        assert inference == golden[key], f"{key} drifted from the golden"
