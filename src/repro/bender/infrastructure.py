@@ -15,7 +15,7 @@ window, and the device has no ECC.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -196,13 +196,17 @@ class TestPlatform:
         ``patterns`` is either one :class:`DataPattern` for every row
         or a per-row array of indices into ``list(DataPattern)``.
 
-        Device bookkeeping (test clock, activation counts) advances by
-        the same totals as the per-row loop.  Each measured victim and
-        its aggressors are left freshly initialized (no accumulated
-        exposure or flips); unlike the loop, no residual disturbance is
-        left on bystander rows two rows away -- residue that each
-        measurement's own initialization erases before it can ever be
-        observed, which is why the measured values agree bit for bit.
+        Activation counts advance exactly as in the per-row loop.  The
+        test clock advances by the loop's total in one multiply, which
+        equals the loop's probe-by-probe float sum up to summation
+        order (exactly when the per-probe charges are binary fractions,
+        as on DDR4-3200; DDR4-2400 differs in the last digits).  Each
+        measured victim and its aggressors are left freshly initialized
+        (no accumulated exposure or flips); unlike the loop, no residual
+        disturbance is left on bystander rows two rows away -- residue
+        that each measurement's own initialization erases before it can
+        ever be observed, which is why the measured values agree bit
+        for bit.
         """
         rows = np.asarray(rows, dtype=np.int64)
         n = rows.size
@@ -279,40 +283,6 @@ class TestPlatform:
     # Reverse-engineering probes
     # ------------------------------------------------------------------
 
-    def single_sided_disturb_footprint(
-        self,
-        bank: int,
-        aggressor_row: int,
-        hammer_count: int,
-        radius: int = 3,
-    ) -> List[int]:
-        """Rows (logical) that flip when single-sided hammering one row.
-
-        The subarray reverse engineering (Key Insight 1) counts how
-        many rows a single-sided hammer disturbs: boundary rows disturb
-        fewer neighbours because the subarray isolates one side.
-        """
-        candidates = [
-            row
-            for offset in range(-radius, radius + 1)
-            if offset != 0
-            and self.geometry.valid_row(row := aggressor_row + offset)
-        ]
-        pattern = DataPattern.ROW_STRIPE
-        for row in candidates:
-            self.device.write_row(bank, row, pattern.victim_fill)
-        self.device.write_row(bank, aggressor_row, pattern.aggressor_fill)
-        self.device.hammer(bank, [aggressor_row], hammer_count)
-        expected = np.full(
-            self.geometry.row_bytes, pattern.victim_fill, dtype=np.uint8
-        )
-        disturbed = []
-        for row in candidates:
-            observed = self.device.read_row(bank, row)
-            if count_mismatched_bits(observed, expected) > 0:
-                disturbed.append(row)
-        return disturbed
-
     def single_sided_disturbs(
         self,
         bank: int,
@@ -355,12 +325,13 @@ class TestPlatform:
         at physical distance 1 or 2 in its subarray reaches a flip
         target above 0.  Addresses are logical, as in the per-pair call.
 
-        Device bookkeeping (test clock, activation counts) advances by
-        the per-pair loop's totals, added in one step rather than probe
-        by probe.  No cell rows are materialized and no exposure is
-        recorded: the loop's writes, flips and bystander exposure are
-        erased by any later measurement's own initialization before
-        they can be observed.
+        Activation counts advance exactly as in the per-pair loop; the
+        test clock advances by the loop's total in one multiply, equal
+        to the loop's probe-by-probe sum up to float summation order
+        (as in :meth:`measure_ber_bank`).  No cell rows are
+        materialized and no exposure is recorded: the loop's writes,
+        flips and bystander exposure are erased by any later
+        measurement's own initialization before they can be observed.
         """
         if hammer_count < 0:
             raise ValueError("hammer count must be non-negative")

@@ -172,6 +172,7 @@ class Defense(ABC):
         self.rows_per_bank = rows_per_bank
         self.seed = seed
         self.stats = DefenseStats()
+        self._binding_thresholds: Dict[Tuple[int, int], float] = {}
 
     # ------------------------------------------------------------------
 
@@ -196,9 +197,24 @@ class Defense(ABC):
     def min_victim_threshold(self, bank: int, row: int) -> float:
         """The binding threshold of one activation: its weakest victim.
 
-        Looks the victims up in :meth:`victim_rows` order, without
-        building the tuple: this runs on every ACT.
+        This runs on every ACT, so it is memoized per ``(bank, row)``
+        for the defense's lifetime; epochs do not clear it.  The memo
+        is exact: both providers are pure functions of ``(bank, row)``
+        (a constant, or Svärd's per-bank lists fixed at build time),
+        and the provider and ``rows_per_bank`` are fixed at
+        construction.
         """
+        key = (bank, row)
+        binding = self._binding_thresholds.get(key)
+        if binding is None:
+            binding = self._binding_thresholds[key] = (
+                self._weakest_victim_threshold(bank, row)
+            )
+        return binding
+
+    def _weakest_victim_threshold(self, bank: int, row: int) -> float:
+        """Looks the victims up in :meth:`victim_rows` order, without
+        building the tuple."""
         threshold = self.thresholds.threshold
         has_upper = row + 1 < self.rows_per_bank
         if row - 1 >= 0:

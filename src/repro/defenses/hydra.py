@@ -53,39 +53,26 @@ class Hydra(Defense):
         self._group_counts: Dict[Tuple[int, int], int] = {}
         self._tracked_groups: Set[Tuple[int, int]] = set()
         self._row_counts: Dict[Tuple[int, int], int] = {}
-        self._rcc: "OrderedDict[Tuple[int, int], bool]" = OrderedDict()
-
-    # ------------------------------------------------------------------
-
-    def _group_of(self, bank: int, row: int) -> Tuple[int, int]:
-        return (bank, row // self.group_size)
-
-    def _rcc_access(self, bank: int, row: int) -> Tuple[int, int]:
-        """Access the row count cache; returns (reads, writes) to DRAM."""
-        key = (bank, row)
-        if key in self._rcc:
-            self._rcc.move_to_end(key)
-            self._rcc[key] = True  # counter incremented: dirty
-            return 0, 0
-        reads, writes = 1, 0  # miss: fetch the counter from DRAM
-        if len(self._rcc) >= self.rcc_entries:
-            _, dirty = self._rcc.popitem(last=False)
-            if dirty:
-                writes += 1  # write back the evicted counter
-        self._rcc[key] = True
-        return reads, writes
+        #: The row count cache, least recently used first.  Every cached
+        #: counter has been incremented since it was fetched, so every
+        #: eviction writes one back.
+        self._rcc: "OrderedDict[Tuple[int, int], None]" = OrderedDict()
+        #: One counter-traffic record per ``(bank, writes)``: a miss
+        #: always reads one counter and writes back at most one.
+        self._traffic: Dict[Tuple[int, int], CounterTraffic] = {}
 
     # ------------------------------------------------------------------
 
     def on_activation(self, bank: int, row: int, now_ns: float) -> List[Mitigation]:
-        self.stats.activations_observed += 1
-        mitigations: List[Mitigation] = []
-        group = self._group_of(bank, row)
+        stats = self.stats
+        stats.activations_observed += 1
+        group = (bank, row // self.group_size)
         threshold = self.min_victim_threshold(bank, row)
+        group_counts = self._group_counts
 
         if group not in self._tracked_groups:
-            count = self._group_counts.get(group, 0) + 1
-            self._group_counts[group] = count
+            count = group_counts.get(group, 0) + 1
+            group_counts[group] = count
             if count > self.gct_fraction * threshold:
                 # Escalate: per-row counters start at the group count
                 # (conservative) and live in DRAM from now on.
@@ -93,17 +80,34 @@ class Hydra(Defense):
             else:
                 return []
 
-        reads, writes = self._rcc_access(bank, row)
-        if reads or writes:
-            mitigations.append(CounterTraffic(bank=bank, reads=reads, writes=writes))
-
+        mitigations: List[Mitigation] = []
         key = (bank, row)
-        count = self._row_counts.get(key, self._group_counts.get(group, 0)) + 1
-        self._row_counts[key] = count
+        rcc = self._rcc
+        if key in rcc:
+            rcc.move_to_end(key)
+        else:
+            # Miss: fetch the counter from DRAM, writing back the
+            # least recently used one if the cache is full.
+            writes = 0
+            if len(rcc) >= self.rcc_entries:
+                rcc.popitem(last=False)
+                writes = 1
+            rcc[key] = None
+            traffic = self._traffic.get((bank, writes))
+            if traffic is None:
+                traffic = self._traffic[(bank, writes)] = CounterTraffic(
+                    bank=bank, reads=1, writes=writes
+                )
+            mitigations.append(traffic)
+
+        row_counts = self._row_counts
+        count = row_counts.get(key, group_counts.get(group, 0)) + 1
+        row_counts[key] = count
         if count >= self.refresh_fraction * threshold:
             mitigations.append(VictimRefresh(bank=bank, rows=self.victim_rows(row)))
-            self._row_counts[key] = 0
-        self.stats.record(mitigations)
+            row_counts[key] = 0
+        if mitigations:
+            stats.record(mitigations)
         return mitigations
 
     def on_refresh_window(self, now_ns: float) -> None:

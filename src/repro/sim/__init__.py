@@ -9,7 +9,6 @@ defense hook on every row activation that charges each preventive
 action's DRAM cost.
 
 * :mod:`repro.sim.config` -- the Table 4 system configuration.
-* :mod:`repro.sim.request` -- memory request records.
 * :mod:`repro.sim.cache` -- a set-associative last-level cache model.
 * :mod:`repro.sim.engine` -- the event-driven simulator core.
 * :mod:`repro.sim.metrics` -- weighted/harmonic speedup, max slowdown.
@@ -19,7 +18,6 @@ action's DRAM cost.
 """
 
 from repro.sim.config import SystemConfig, MitigationCosts
-from repro.sim.request import MemoryRequest
 from repro.sim.cache import SetAssociativeCache
 from repro.sim.engine import MemorySystem, SimulationResult, CoreResult
 from repro.sim.conformance import (
@@ -41,7 +39,6 @@ from repro.sim.metrics import (
 __all__ = [
     "SystemConfig",
     "MitigationCosts",
-    "MemoryRequest",
     "SetAssociativeCache",
     "MemorySystem",
     "SimulationResult",

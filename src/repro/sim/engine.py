@@ -32,17 +32,19 @@ from repro.dram.commands import (
     wr as _wr,
 )
 from repro.sim.config import MitigationCosts, SystemConfig
-from repro.sim.request import MemoryRequest
 
 #: Event kinds of the engine's heap.  Entries are ``(time, seq, kind,
-#: payload)``; ``seq`` breaks time ties in push order.
+#: payload)``; ``seq`` breaks time ties in push order.  An arrival's
+#: payload is its bank-queue entry, ``(bank, row, core, chain,
+#: arrival_ns, is_write, column)`` with bank, row and column already
+#: reduced to the configured geometry.
 _ARRIVAL, _BANK_FREE, _REFRESH, _EPOCH = range(4)
 
 
 class TraceStep(NamedTuple):
     """One memory request emitted by a workload trace.
 
-    A plain tuple: traces build one per simulated request.
+    A plain tuple, which the engine unpacks by position.
     """
 
     bank: int
@@ -153,8 +155,9 @@ class MemorySystem:
 
         The per-request path -- FR-FCFS pick, service, mitigation
         charging, the chain's next request -- is one loop body on Python
-        floats and ints.  Each ``max`` is a comparison that picks the
-        same value, and every float sum keeps its left-to-right order.
+        floats and ints, and a request is one tuple from issue to
+        completion.  Each ``max`` is a comparison that picks the same
+        value, and every float sum keeps its left-to-right order.
         """
         log = command_log
         config = self.config
@@ -165,7 +168,6 @@ class MemorySystem:
         columns_per_row = config.columns_per_row
         column_cap = config.column_cap
         requests_per_core = config.requests_per_core
-        traces = self.traces
         tRCD = timing.tRCD
         tCL = timing.tCL
         tBL = timing.tBL
@@ -180,8 +182,9 @@ class MemorySystem:
 
         defense = self.defense
         # Resolved per run, so a wrapper installed on the class before
-        # the run starts sees every ACT.
+        # the run starts sees every ACT and every trace step.
         on_activation = defense.on_activation if defense is not None else None
+        next_steps = [trace.next_step for trace in self.traces]
         costs = self.costs
         charges = {
             kind: (None if occupancy is None else getattr(costs, occupancy), acts)
@@ -208,9 +211,12 @@ class MemorySystem:
         # Initial chain arrivals.
         for core in range(config.cores):
             for chain in range(min(config.mlp_per_core, requests_per_core)):
-                step = traces[core].next_step(chain)
+                bank, row, column, is_write, gap_ns = next_steps[core](chain)
                 issued[core] += 1
-                heappush(heap, (step.gap_ns, seq, _ARRIVAL, (core, chain, step)))
+                heappush(heap, (gap_ns, seq, _ARRIVAL, (
+                    bank % n_banks, row % rows_per_bank, core, chain,
+                    gap_ns, is_write, column % columns_per_row,
+                )))
                 seq += 1
 
         # Periodic refresh and defense epochs.  All-bank generations
@@ -252,12 +258,8 @@ class MemorySystem:
             if time > last_time:
                 last_time = time
             if kind == _ARRIVAL:
-                core, chain, step = payload
-                bank_id = step.bank % n_banks
-                banks[bank_id].queue.append(MemoryRequest(
-                    core, bank_id, step.row % rows_per_bank,
-                    step.column % columns_per_row, step.is_write, time, chain,
-                ))
+                bank_id = payload[0]
+                banks[bank_id].queue.append(payload)
                 queued_total += 1
                 has_queue[bank_id] = True
             elif kind == _BANK_FREE:
@@ -312,7 +314,7 @@ class MemorySystem:
                 open_row = bank.open_row
                 if open_row is not None and bank.hits_in_row < column_cap:
                     for index, request in enumerate(queue):
-                        if request.row == open_row:
+                        if request[1] == open_row:
                             del queue[index]
                             break
                     else:
@@ -323,7 +325,7 @@ class MemorySystem:
                 if not queue:
                     has_queue[bank_id] = False
                 start = busy if busy > now else now
-                row = request.row
+                _, row, core, chain, arrival, is_write, column = request
 
                 preventive = ()
                 if open_row == row:
@@ -405,9 +407,9 @@ class MemorySystem:
                         bank.hits_in_row = 0
                 if log is not None:
                     rank = bank_id // banks_per_rank
-                    column_cmd = _wr if request.is_write else _rd
+                    column_cmd = _wr if is_write else _rd
                     log.append(TimedCommand(
-                        data_start, column_cmd(bank_id, request.column, rank=rank)
+                        data_start, column_cmd(bank_id, column, rank=rank)
                     ))
                     if preventive:
                         # Preventive bursts are opaque bank-busy time (each
@@ -416,20 +418,21 @@ class MemorySystem:
                         # bank is usable again tRP after it.
                         log.append(TimedCommand(free_at - tRP, _pre(bank_id, rank=rank)))
 
-                request.completion_ns = finish
-                core = request.core
                 completed[core] += 1
                 total_completed += 1
-                total_latency[core] += finish - request.arrival_ns
+                total_latency[core] += finish - arrival
                 if finish > finish_time[core]:
                     finish_time[core] = finish
                 if issued[core] < requests_per_core:
-                    chain = request.chain
-                    step = traces[core].next_step(chain)
+                    (next_bank, next_row, next_column, next_write,
+                     gap_ns) = next_steps[core](chain)
                     issued[core] += 1
-                    heappush(heap, (
-                        finish + step.gap_ns, seq, _ARRIVAL, (core, chain, step)
-                    ))
+                    arrival = finish + gap_ns
+                    heappush(heap, (arrival, seq, _ARRIVAL, (
+                        next_bank % n_banks, next_row % rows_per_bank, core,
+                        chain, arrival, next_write,
+                        next_column % columns_per_row,
+                    )))
                     seq += 1
                 if finish > now:
                     now = finish

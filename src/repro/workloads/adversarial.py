@@ -9,13 +9,35 @@
   the classic N-sided RowHammer shape (TRRespass-style), stressing
   probabilistic defenses whose per-activation mitigation chance decays
   as the attacker spreads activations over more aggressors.
+
+Each trace hands out precomputed :class:`TraceStep` tuples, built once
+from its parameters at construction: steps are immutable, so sharing
+them is safe.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import Tuple
 
 from repro.sim.engine import TraceStep
+
+
+@lru_cache(maxsize=8, typed=True)
+def _hydra_cycle(
+    n_rows: int, row_stride: int, bank_stride: int, rows_per_bank: int,
+    gap_ns: float,
+) -> Tuple[TraceStep, ...]:
+    """One thrashing cycle, shared by every trace of the same geometry
+    (a Fig 13 cell's cores differ only in their phase)."""
+    steps = []
+    for index in range(n_rows):
+        row = (index * row_stride) % rows_per_bank
+        # A row always lives in the same bank (page placement).
+        bank = (row // row_stride) % bank_stride
+        steps.append(TraceStep(bank=bank, row=row, column=0, gap_ns=gap_ns))
+    return tuple(steps)
 
 
 @dataclass
@@ -37,17 +59,19 @@ class HydraAdversarialTrace:
     gap_ns: float = 5.0
     start_offset: int = 0
     _position: int = 0
+    _cycle: Tuple[TraceStep, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self._position = self.start_offset
+        self._cycle = _hydra_cycle(
+            self.n_rows, self.row_stride, self.bank_stride,
+            self.rows_per_bank, self.gap_ns,
+        )
 
     def next_step(self, chain: int) -> TraceStep:
         index = self._position
-        self._position += 1
-        row = ((index % self.n_rows) * self.row_stride) % self.rows_per_bank
-        # A row always lives in the same bank (page placement).
-        bank = (row // self.row_stride) % self.bank_stride
-        return TraceStep(bank=bank, row=row, column=0, gap_ns=self.gap_ns)
+        self._position = index + 1
+        return self._cycle[index % self.n_rows]
 
 
 @dataclass
@@ -68,11 +92,18 @@ class RrsAdversarialTrace:
     bank: int = 0
     gap_ns: float = 5.0
     _toggle: bool = False
+    #: ``(scratch step, target step)``, indexed by the toggle.
+    _steps: Tuple[TraceStep, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._steps = tuple(
+            TraceStep(bank=self.bank, row=row, column=0, gap_ns=self.gap_ns)
+            for row in (self.scratch_row, self.target_row)
+        )
 
     def next_step(self, chain: int) -> TraceStep:
-        self._toggle = not self._toggle
-        row = self.target_row if self._toggle else self.scratch_row
-        return TraceStep(bank=self.bank, row=row, column=0, gap_ns=self.gap_ns)
+        toggle = self._toggle = not self._toggle
+        return self._steps[toggle]
 
 
 @dataclass
@@ -103,16 +134,23 @@ class ManySidedHammerTrace:
     gap_ns: float = 5.0
     start_offset: int = 0
     _position: int = 0
+    _steps: Tuple[TraceStep, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n_sides < 2:
             raise ValueError("many-sided hammering needs at least 2 sides")
         self._position = self.start_offset
+        self._steps = tuple(
+            TraceStep(
+                bank=self.bank,
+                row=(self.base_row + side * self.row_stride) % self.rows_per_bank,
+                column=0,
+                gap_ns=self.gap_ns,
+            )
+            for side in range(self.n_sides)
+        )
 
     def next_step(self, chain: int) -> TraceStep:
         index = self._position
-        self._position += 1
-        row = (
-            self.base_row + (index % self.n_sides) * self.row_stride
-        ) % self.rows_per_bank
-        return TraceStep(bank=self.bank, row=row, column=0, gap_ns=self.gap_ns)
+        self._position = index + 1
+        return self._steps[index % self.n_sides]

@@ -1,8 +1,11 @@
-"""Shared fixtures: a small, fast synthetic module for device tests."""
+"""Shared fixtures: a small, fast synthetic module for device tests,
+and Fig 13's parity run, shared by every test that reads it."""
 
 import pytest
 
 from repro.dram.geometry import DramGeometry
+from repro.experiments import fig13_adversarial
+from repro.experiments.common import ExperimentScale
 from repro.dram.mapping import RowScrambler, ScramblingScheme
 from repro.faults.modules import Manufacturer, ModuleSpec
 
@@ -44,3 +47,18 @@ def tiny_spec():
 @pytest.fixture
 def tiny_geometry():
     return DramGeometry(rows_per_bank=256, subarray_rows=64, columns_per_row=16)
+
+
+#: Fig 13's parity scale (``tests/golden/text/``).
+FIG13_SCALE = ExperimentScale(
+    rows_per_bank=1024, banks=(1,), svard_profiles=("S0",),
+    requests_per_core=6000, seed=3,
+)
+
+
+@pytest.fixture(scope="session")
+def fig13_parity_result():
+    """Fig 13 at its parity scale, run once per session: the text
+    parity snapshot and the Fig 13 observation tests read the same
+    result."""
+    return fig13_adversarial.run(FIG13_SCALE)

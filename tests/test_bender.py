@@ -161,15 +161,14 @@ class TestMeasureBer:
 class TestReverseEngineeringProbes:
     def test_interior_row_disturbs_both_sides(self, platform):
         hc = int(platform.model.true_hc_first(0).max() * 4)
-        disturbed = platform.single_sided_disturb_footprint(0, 33, hc)
-        assert 32 in disturbed and 34 in disturbed
+        assert platform.single_sided_disturbs(0, 33, 32, hc)
+        assert platform.single_sided_disturbs(0, 33, 34, hc)
 
     def test_boundary_row_disturbs_one_side(self, platform):
         boundary = platform.geometry.subarray_rows  # first row of SA 1
         hc = int(platform.model.true_hc_first(0).max() * 4)
-        disturbed = platform.single_sided_disturb_footprint(0, boundary, hc)
-        assert boundary + 1 in disturbed
-        assert boundary - 1 not in disturbed
+        assert platform.single_sided_disturbs(0, boundary, boundary + 1, hc)
+        assert not platform.single_sided_disturbs(0, boundary, boundary - 1, hc)
 
     def test_rowclone_within_subarray(self, platform):
         platform.device.rowclone_success_rate = 1.0

@@ -276,6 +276,152 @@ class TestHydra:
         assert defense.on_activation(0, 64, 1.1e9) == []
 
 
+class ReferenceHydra(Hydra):
+    """Hydra's hook in its plain form, the oracle the one-body hook
+    must match: a group-key helper, an RCC access that returns
+    ``(reads, writes)`` and tracks a dirty flag per cached counter, a
+    fresh ``CounterTraffic`` per miss, and an unmemoized binding
+    threshold."""
+
+    def _group_of(self, bank, row):
+        return (bank, row // self.group_size)
+
+    def _rcc_access(self, bank, row):
+        key = (bank, row)
+        if key in self._rcc:
+            self._rcc.move_to_end(key)
+            self._rcc[key] = True  # counter incremented: dirty
+            return 0, 0
+        reads, writes = 1, 0  # miss: fetch the counter from DRAM
+        if len(self._rcc) >= self.rcc_entries:
+            _, dirty = self._rcc.popitem(last=False)
+            if dirty:
+                writes += 1  # write back the evicted counter
+        self._rcc[key] = True
+        return reads, writes
+
+    def min_victim_threshold(self, bank, row):
+        return direct_min_victim_threshold(self, bank, row)
+
+    def on_activation(self, bank, row, now_ns):
+        self.stats.activations_observed += 1
+        mitigations = []
+        group = self._group_of(bank, row)
+        threshold = self.min_victim_threshold(bank, row)
+
+        if group not in self._tracked_groups:
+            count = self._group_counts.get(group, 0) + 1
+            self._group_counts[group] = count
+            if count > self.gct_fraction * threshold:
+                self._tracked_groups.add(group)
+            else:
+                return []
+
+        reads, writes = self._rcc_access(bank, row)
+        if reads or writes:
+            mitigations.append(CounterTraffic(bank=bank, reads=reads, writes=writes))
+
+        key = (bank, row)
+        count = self._row_counts.get(key, self._group_counts.get(group, 0)) + 1
+        self._row_counts[key] = count
+        if count >= self.refresh_fraction * threshold:
+            mitigations.append(VictimRefresh(bank=bank, rows=self.victim_rows(row)))
+            self._row_counts[key] = 0
+        self.stats.record(mitigations)
+        return mitigations
+
+
+def direct_min_victim_threshold(defense, bank, row):
+    """The weakest victim's threshold, looked up on every call."""
+    victims = defense.victim_rows(row)
+    if not victims:
+        return defense.hc_first
+    return min(defense.thresholds.threshold(bank, victim) for victim in victims)
+
+
+def hydra_streams(rows_per_bank, group_size):
+    """ACT streams of ``(bank, row)``, with ``None`` marking an epoch."""
+    rng = np.random.default_rng(5)
+    # Random rows over a few groups of two banks: escalations, RCC
+    # hits and preventive refreshes.
+    few_groups = [
+        (int(bank), int(row))
+        for bank, row in zip(
+            rng.integers(0, 2, size=3000),
+            rng.integers(0, 3 * group_size, size=3000),
+        )
+    ]
+    # A cycle over more rows than the 16-entry RCC holds, one group
+    # apart: every escalated access misses and writes one back.
+    cycle = [(index % 3, (index % 24) * group_size) for index in range(4000)]
+    # The edge rows, whose single victim binds the threshold.
+    edges = [(0, 0), (0, rows_per_bank - 1), (1, 1), (1, rows_per_bank - 2)] * 200
+    stream = []
+    for part in (few_groups, cycle, edges):
+        for start in range(0, len(part), 700):
+            stream.extend(part[start:start + 700])
+            stream.append(None)
+    return stream
+
+
+class TestHydraReference:
+    @pytest.mark.parametrize("provider", ["global", "svard"])
+    @pytest.mark.parametrize("hc_first", [64, 256])
+    def test_matches_reference_hook(self, provider, hc_first):
+        """Same mitigations per ACT and same stats as the reference
+        hook, across epoch resets, under both threshold providers."""
+        kwargs = dict(rows_per_bank=2048, rcc_entries=16, seed=0)
+        if provider == "svard":
+            kwargs["thresholds"], _ = make_svard_provider(hc_first)
+        hydra = Hydra(hc_first, **kwargs)
+        reference = ReferenceHydra(hc_first, **kwargs)
+        kinds = set()
+        for index, act in enumerate(hydra_streams(2048, hydra.group_size)):
+            if act is None:
+                hydra.on_refresh_window(index * 50.0)
+                reference.on_refresh_window(index * 50.0)
+                continue
+            bank, row = act
+            mitigations = hydra.on_activation(bank, row, index * 50.0)
+            assert mitigations == reference.on_activation(bank, row, index * 50.0)
+            kinds.update(
+                (type(m), getattr(m, "writes", None)) for m in mitigations
+            )
+        assert hydra.stats == reference.stats
+        # Every kind of action the hook can return was exercised.
+        assert kinds == {
+            (CounterTraffic, 0), (CounterTraffic, 1), (VictimRefresh, None)
+        }
+
+
+class TestMinVictimThreshold:
+    @pytest.mark.parametrize("provider", ["global", "svard"])
+    def test_matches_direct_lookup(self, provider):
+        """The memoized binding threshold equals the direct lookup at
+        both bank edges, next to them and across the bank, on the
+        profile's two banks and on banks beyond them, on first and
+        repeated calls."""
+        thresholds = None
+        if provider == "svard":
+            profile = VulnerabilityProfile.from_ground_truth(
+                module_by_label("S0"), banks=(0, 1), rows_per_bank=2048, seed=0
+            ).scaled_to_worst_case(256)
+            thresholds = SvardThresholds(Svard.build(profile))
+        defense = Hydra(256, thresholds=thresholds, rows_per_bank=2048, seed=0)
+        rows = (0, 1, 2046, 2047, *range(2, 2046, 7))
+        for _ in range(2):
+            for bank in (0, 1, 5, 30):
+                for row in rows:
+                    assert defense.min_victim_threshold(bank, row) == (
+                        direct_min_victim_threshold(defense, bank, row)
+                    ), (bank, row)
+        if provider == "svard":
+            # The edge rows bind on their one victim, not on hc_first.
+            assert defense.min_victim_threshold(1, 2047) == (
+                thresholds.threshold(1, 2046)
+            )
+
+
 class TestAqua:
     def test_migrates_at_half_threshold(self):
         defense = Aqua(hc_first=100, rows_per_bank=4096, seed=0)

@@ -32,7 +32,6 @@ from repro.experiments import (
     fig9_spatial_features,
     fig10_aging,
     fig12_performance,
-    fig13_adversarial,
     sec64_hardware_cost,
     table3_features,
     table5_modules,
@@ -80,10 +79,6 @@ PERF_SCALE = ExperimentScale(
     svard_profiles=("S0",),
     seed=3,
 )
-FIG13_SCALE = ExperimentScale(
-    rows_per_bank=1024, banks=(1,), svard_profiles=("S0",),
-    requests_per_core=6000, seed=3,
-)
 MANYSIDED_SCALE = ExperimentScale(
     rows_per_bank=1024, banks=(1,), svard_profiles=("S0",),
     requests_per_core=3000, seed=3,
@@ -93,7 +88,7 @@ ABLATION_SCALE = ExperimentScale(
 )
 
 #: name -> zero-argument callable returning the rich result at the
-#: parity scale.
+#: parity scale, or the name of the session fixture holding it.
 PARITY_RUNS = {
     "fig3": lambda: fig3_ber_distribution.run(ONE_MODULE),
     "fig4": lambda: fig4_ber_location.run(ONE_MODULE),
@@ -106,7 +101,7 @@ PARITY_RUNS = {
     "fig12": lambda: fig12_performance.run(
         PERF_SCALE, defenses=("PARA", "RRS")
     ),
-    "fig13": lambda: fig13_adversarial.run(FIG13_SCALE),
+    "fig13": "fig13_parity_result",  # at tests.conftest.FIG13_SCALE
     "attack-manysided": lambda: attack_manysided.run(MANYSIDED_SCALE),
     "table3": lambda: table3_features.run(FEATURE_SCALE),
     "table5": lambda: table5_modules.run(ONE_MODULE),
@@ -119,11 +114,11 @@ PARITY_RUNS = {
 
 
 @pytest.fixture(scope="module")
-def parity_result_sets():
+def parity_result_sets(request):
     """Run every experiment once at its parity scale; cache per module."""
     results = {}
     for name, run in PARITY_RUNS.items():
-        result = run()
+        result = request.getfixturevalue(run) if isinstance(run, str) else run()
         results[name] = (result, all_experiments()[name].result_set(result))
     return results
 

@@ -18,7 +18,6 @@ from repro.experiments import (
     fig9_spatial_features,
     fig10_aging,
     fig12_performance,
-    fig13_adversarial,
     sec64_hardware_cost,
     table3_features,
     table5_modules,
@@ -218,12 +217,8 @@ class TestFig12:
 
 class TestFig13:
     @pytest.fixture(scope="class")
-    def result(self):
-        scale = ExperimentScale(
-            rows_per_bank=1024, banks=(1,), svard_profiles=("S0",),
-            requests_per_core=6000, seed=3,
-        )
-        return fig13_adversarial.run(scale)
+    def result(self, fig13_parity_result):
+        return fig13_parity_result
 
     def test_adversaries_cause_slowdown(self, result):
         assert result.raw_slowdown[("Hydra", "No Svärd")] > 1.2

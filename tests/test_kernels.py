@@ -16,6 +16,8 @@ bugs fixed alongside the kernels (subset-row profiles, ``ber_at_128k``
 grid binding, the missing BER clip).
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -188,6 +190,32 @@ class TestSingleSidedDisturbsBank:
         platform = TestPlatform(make_tiny_spec(), rows_per_bank=256, seed=7)
         with pytest.raises(ValueError):
             platform.single_sided_disturbs_bank(0, [1], [2], -1)
+
+
+class TestKernelClockContract:
+    def test_ddr4_2400_counts_exact_clock_to_summation_order(self):
+        """Off binary-fraction timings (DDR4-2400) both kernels still
+        count every activation exactly, but add the loop's clock total
+        in one multiply, so the clock equals the loop's probe-by-probe
+        sum only up to float summation order."""
+        spec = make_tiny_spec(freq_mts=2400)
+        batched = TestPlatform(spec, rows_per_bank=256, seed=7)
+        loop = TestPlatform(spec, rows_per_bank=256, seed=7)
+        rows = np.arange(256)
+        for pattern in DATA_PATTERNS[:2]:
+            for hammer_count in (16, 160):
+                batched.measure_ber_bank(0, rows, pattern, hammer_count)
+                for row in rows:
+                    loop.measure_ber(0, int(row), pattern, hammer_count)
+        aggressors, victims = list(range(1, 256)), list(range(255))
+        for hammer_count in (30, 400):
+            batched.single_sided_disturbs_bank(0, aggressors, victims, hammer_count)
+            for aggressor, victim in zip(aggressors, victims):
+                loop.single_sided_disturbs(0, aggressor, victim, hammer_count)
+        assert batched.device.activation_count(0) == loop.device.activation_count(0)
+        assert math.isclose(
+            batched.device.clock_ns, loop.device.clock_ns, rel_tol=1e-12
+        )
 
 
 class TestBoundarySearchKernel:

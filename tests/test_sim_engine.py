@@ -7,11 +7,14 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.svard import Svard
 from repro.defenses import DEFENSE_CLASSES
-from repro.defenses.base import GlobalThreshold
+from repro.defenses.base import GlobalThreshold, SvardThresholds
 from repro.defenses.para import Para
 from repro.defenses.rrs import RandomizedRowSwap
 from repro.dram.timing import device_for
+from repro.experiments import attack_manysided, fig13_adversarial
+from repro.experiments.common import NO_SVARD, ExperimentScale, scaled_profile
 from repro.sim.cache import SetAssociativeCache
 from repro.sim.config import MitigationCosts, SystemConfig
 from repro.sim.engine import MemorySystem, TraceStep
@@ -21,7 +24,6 @@ from repro.sim.metrics import (
     max_slowdown,
     weighted_speedup,
 )
-from repro.sim.request import MemoryRequest
 from repro.workloads.suites import profile_by_name
 from repro.workloads.synthetic import SyntheticTrace
 
@@ -68,22 +70,6 @@ class TestSystemConfig:
         assert costs.victim_refresh_ns < costs.counter_access_ns
         assert costs.counter_access_ns < costs.migration_ns
         assert costs.swap_ns == pytest.approx(2 * costs.migration_ns)
-
-
-class TestMemoryRequest:
-    def test_latency(self):
-        request = MemoryRequest(core=0, bank=0, row=0, column=0, arrival_ns=10.0)
-        request.completion_ns = 60.0
-        assert request.latency_ns == pytest.approx(50.0)
-
-    def test_latency_requires_completion(self):
-        request = MemoryRequest(core=0, bank=0, row=0, column=0)
-        with pytest.raises(ValueError):
-            _ = request.latency_ns
-
-    def test_negative_coordinates_rejected(self):
-        with pytest.raises(ValueError):
-            MemoryRequest(core=-1, bank=0, row=0, column=0)
 
 
 class TestEngineBasics:
@@ -232,10 +218,8 @@ def _exact(value):
     return float(value).hex() if isinstance(value, float) else value
 
 
-def _engine_cell_outcome(device, defense_name, logged):
-    system = _engine_cell(device, defense_name)
-    log = [] if logged else None
-    result = system.run(command_log=log)
+def _run_outcome(system, result):
+    """Per-core times, controller counters and the defense's stats."""
     outcome = {
         "finish_ns": [_exact(core.finish_ns) for core in result.cores],
         "latency_sum_ns": [_exact(core.total_latency_ns) for core in result.cores],
@@ -251,6 +235,13 @@ def _engine_cell_outcome(device, defense_name, logged):
             name: _exact(value)
             for name, value in dataclasses.asdict(system.defense.stats).items()
         }
+    return outcome
+
+
+def _engine_cell_outcome(device, defense_name, logged):
+    system = _engine_cell(device, defense_name)
+    log = [] if logged else None
+    outcome = _run_outcome(system, system.run(command_log=log))
     if logged:
         digest = hashlib.sha256()
         for entry in log:
@@ -293,6 +284,93 @@ def test_engine_cells_match_golden(request):
             assert logged == cells[key[:-len("log")] + "nolog"], (
                 f"{key}: command logging changed the schedule"
             )
+
+
+ADVERSARIAL_CELLS_GOLDEN = Path(__file__).parent / "golden" / "adversarial_cells.json"
+#: Fig 13's and attack-manysided's parity scale; every cell runs this
+#: many requests per core, enough for Hydra's RCC write-backs under
+#: both threshold providers and for RRS swaps in every cell.
+ADVERSARIAL_SCALE = ExperimentScale(
+    rows_per_bank=1024, banks=(1,), svard_profiles=("S0",), seed=3,
+)
+ADVERSARIAL_REQUESTS_PER_CORE = 2000
+
+
+def _adversarial_cells():
+    """``{name: MemorySystem}`` for every cell of Fig 13 and
+    attack-manysided, each built as the experiment's task builds it:
+    the same traces, ``HYDRA_RCC_ENTRIES`` and Svärd-S0 thresholds at
+    HC_first 64, at a reduced request count."""
+    scale = ADVERSARIAL_SCALE
+    config = scale.system_config(
+        requests_per_core=ADVERSARIAL_REQUESTS_PER_CORE,
+        defense_epoch_ns=1_000_000.0,
+    )
+    svard = SvardThresholds(
+        Svard.build(scaled_profile("S0", fig13_adversarial.HC_FIRST, scale))
+    )
+
+    def defense(name, configuration):
+        kwargs = dict(rows_per_bank=config.rows_per_bank, seed=scale.seed)
+        if configuration != NO_SVARD:
+            kwargs["thresholds"] = svard
+        if name == "Hydra":
+            kwargs["rcc_entries"] = fig13_adversarial.HYDRA_RCC_ENTRIES
+        return DEFENSE_CLASSES[name](fig13_adversarial.HC_FIRST, **kwargs)
+
+    configurations = (NO_SVARD, "Svärd-S0")
+    cells = {}
+    for name in fig13_adversarial.Fig13Experiment.DEFENSE_NAMES:
+        traces = fig13_adversarial._adversarial_traces
+        cells[f"fig13|baseline|{name}"] = MemorySystem(config, traces(name, config))
+        for configuration in configurations:
+            cells[f"fig13|{name}|{configuration}"] = MemorySystem(
+                config, traces(name, config),
+                defense=defense(name, configuration),
+            )
+    for n_sides in attack_manysided.N_SIDES_SWEEP:
+        traces = attack_manysided._attack_traces
+        cells[f"manysided|baseline|{n_sides}"] = MemorySystem(
+            config, traces(n_sides, config)
+        )
+        for name in attack_manysided.ManySidedExperiment.DEFENSE_NAMES:
+            for configuration in configurations:
+                cells[f"manysided|{name}|{n_sides}|{configuration}"] = MemorySystem(
+                    config, traces(n_sides, config),
+                    defense=defense(name, configuration),
+                )
+    return cells
+
+
+def test_adversarial_cells_match_golden(request):
+    """Fig 13's and attack-manysided's cells, bit for bit.
+
+    ``engine_cells.json`` runs ycsb traces under global thresholds and
+    Hydra's default 4,096-entry RCC; these pin the adversarial traces,
+    the RCC write-back path and Svärd thresholds under every defense
+    the attack experiments run.  Regenerate with ``pytest
+    tests/test_sim_engine.py --update-golden`` only after an
+    intentional behavior change.
+    """
+    outcomes = {
+        key: _run_outcome(system, system.run())
+        for key, system in _adversarial_cells().items()
+    }
+    if request.config.getoption("--update-golden"):
+        ADVERSARIAL_CELLS_GOLDEN.write_text(
+            json.dumps(outcomes, indent=1, sort_keys=True) + "\n"
+        )
+        return
+    for key, outcome in outcomes.items():
+        stats = outcome.get("defense_stats", {})
+        if key.startswith("fig13|Hydra"):
+            assert stats["counter_writes"] > 0, key
+        if key.startswith("fig13|RRS"):
+            assert stats["swaps"] > 0, key
+    golden = json.loads(ADVERSARIAL_CELLS_GOLDEN.read_text())
+    assert sorted(outcomes) == sorted(golden)
+    for key, outcome in outcomes.items():
+        assert outcome == golden[key], f"{key} drifted from the golden"
 
 
 class TestMetrics:

@@ -17,7 +17,7 @@ import pytest
 
 from repro.sim.config import SystemConfig
 from repro.sim.conformance import check_run
-from repro.sim.engine import MemorySystem
+from repro.sim.engine import MemorySystem, TraceStep
 from repro.workloads import (
     SyntheticTrace,
     TraceExhausted,
@@ -88,6 +88,60 @@ class TestTraceContract:
         assert rows == [10, 12, 14, 16] * 2  # strict N-row rotation
         with pytest.raises(ValueError):
             ManySidedHammerTrace(n_sides=1)
+
+    @pytest.mark.parametrize("start_offset", [0, 3, 80, 1000])
+    def test_hydra_steps_follow_the_cycle_formula(self, start_offset):
+        """Three cycles of precomputed steps equal the per-step
+        formula, from any phase."""
+        n_rows, row_stride, bank_stride, rows_per_bank = 40, 128, 8, 2048
+        trace = HydraAdversarialTrace(
+            n_rows=n_rows, row_stride=row_stride, bank_stride=bank_stride,
+            rows_per_bank=rows_per_bank, gap_ns=7.5, start_offset=start_offset,
+        )
+        for index in range(start_offset, start_offset + 3 * n_rows):
+            row = ((index % n_rows) * row_stride) % rows_per_bank
+            bank = (row // row_stride) % bank_stride
+            assert trace.next_step(index % 4) == TraceStep(
+                bank=bank, row=row, column=0, is_write=False, gap_ns=7.5
+            )
+        assert trace._position == start_offset + 3 * n_rows
+
+    def test_hydra_traces_of_one_geometry_share_one_cycle(self):
+        a = HydraAdversarialTrace(n_rows=640, bank_stride=32, start_offset=0)
+        b = HydraAdversarialTrace(n_rows=640, bank_stride=32, start_offset=80)
+        other = HydraAdversarialTrace(n_rows=640, bank_stride=16)
+        assert a._cycle is b._cycle
+        assert other._cycle is not a._cycle
+        # Sharing the table shares no position.
+        assert [a.next_step(0).row for _ in range(3)] == [0, 128, 256]
+        assert [b.next_step(0).row for _ in range(3)] == [
+            80 * 128, 81 * 128, 82 * 128
+        ]
+
+    @pytest.mark.parametrize("start_offset", [0, 3, 7, 100])
+    def test_manysided_steps_follow_the_rotation_formula(self, start_offset):
+        n_sides, base_row, row_stride, rows_per_bank = 6, 250, 2, 256
+        trace = ManySidedHammerTrace(
+            n_sides=n_sides, base_row=base_row, row_stride=row_stride,
+            bank=3, rows_per_bank=rows_per_bank, gap_ns=2.0,
+            start_offset=start_offset,
+        )
+        for index in range(start_offset, start_offset + 3 * n_sides):
+            row = (base_row + (index % n_sides) * row_stride) % rows_per_bank
+            assert trace.next_step(0) == TraceStep(
+                bank=3, row=row, column=0, is_write=False, gap_ns=2.0
+            )
+
+    def test_rrs_steps_alternate_target_first(self):
+        trace = RrsAdversarialTrace(target_row=11, scratch_row=22, bank=5)
+        toggle = False
+        for _ in range(6):
+            toggle = not toggle
+            row = 11 if toggle else 22
+            assert trace.next_step(0) == TraceStep(
+                bank=5, row=row, column=0, is_write=False, gap_ns=5.0
+            )
+        assert trace._toggle is toggle
 
     def test_plain_and_gzip_fixture_yield_identical_streams(self):
         plain = TraceFileReader(PLAIN_FIXTURE, **GEOMETRY)
