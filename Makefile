@@ -3,8 +3,7 @@
 #
 #   make test           tier-1 test suite + report smoke + queue chaos
 #                       smoke + kernels smoke + profile smoke +
-#                       conformance smoke + generations smoke +
-#                       examples smoke (CI gate)
+#                       conformance smoke + examples smoke (CI gate)
 #   make smoke          runner `list` + every experiment at tiny scale (JSON)
 #   make recipes-smoke  every checked-in recipe at tiny scale on the queue
 #                       backend (1 worker), byte-diffed against serial
@@ -15,27 +14,20 @@
 #                       checked for well-formedness + aggregation
 #   make bench-smoke    tier-1 tests + a 2-job orchestrated Fig 12 smoke
 #   make bench          full pytest-benchmark suite (cold caches)
-#   make bench-backends serial vs process vs 2-worker queue timings
-#                       -> BENCH_backends.json, plus a queue chunk-size
-#                       sweep (1/8/32) -> BENCH_chunks.json
-#   make bench-kernels  loop-oracle vs vectorized characterization
-#                       timings -> BENCH_kernels.json
 #   make kernels-smoke  tiny platform characterization and Fig 8 boundary
 #                       search, kernel paths byte-diffed against their
 #                       loop oracles
 #   make profile-smoke  tiny sweep -> `runner profile`: every per-task
 #                       profiling stamp complete and non-negative
 #   make conformance-smoke
-#                       tiny sweep with DDR4 command logging on, the
-#                       stream replayed against the JEDEC rulebook
-#                       (zero violations), then a broken rulebook as
-#                       negative control (must flag violations)
-#   make generations-smoke
 #                       tiny sweep per device generation (DDR4 x2,
-#                       LPDDR4, DDR5) replayed against each
-#                       generation's own rulebook (zero violations),
-#                       plus a byte-diff of DDR4 `runner check-timing`
-#                       against the pre-refactor golden
+#                       LPDDR4, DDR5), undefended and under every
+#                       defense, with command logging on, each stream
+#                       replayed against its generation's own JEDEC
+#                       rulebook (zero violations); then a broken
+#                       rulebook as negative control (must flag
+#                       violations) and a byte-diff of DDR4 `runner
+#                       check-timing` against the pre-refactor golden
 #   make examples-smoke every script in examples/ runs to a zero exit
 #   make golden         regenerate tests/golden/*.json snapshots
 #   make clean-cache    drop the on-disk orchestration result cache
@@ -50,8 +42,8 @@ JOBS ?= 2
 export PYTHONPATH := src
 
 .PHONY: test smoke recipes-smoke queue-smoke report-smoke \
-        kernels-smoke profile-smoke conformance-smoke generations-smoke \
-        examples-smoke bench-smoke bench bench-backends bench-kernels golden \
+        kernels-smoke profile-smoke conformance-smoke \
+        examples-smoke bench-smoke bench golden \
         worker clean-cache
 
 test:
@@ -61,7 +53,6 @@ test:
 	$(MAKE) kernels-smoke
 	$(MAKE) profile-smoke
 	$(MAKE) conformance-smoke
-	$(MAKE) generations-smoke
 	$(MAKE) examples-smoke
 
 report-smoke:
@@ -78,9 +69,6 @@ profile-smoke:
 
 conformance-smoke:
 	$(PYTHON) scripts/conformance_smoke.py
-
-generations-smoke:
-	$(PYTHON) scripts/generations_smoke.py
 
 examples-smoke:
 	@for script in examples/*.py; do \
@@ -105,12 +93,6 @@ recipes-smoke:
 
 bench:
 	$(PYTHON) -m pytest benchmarks -q
-
-bench-backends:
-	$(PYTHON) scripts/bench_backends.py
-
-bench-kernels:
-	$(PYTHON) benchmarks/bench_kernels.py
 
 worker:
 	$(PYTHON) -m repro.experiments.runner worker --poll-interval 0.2

@@ -10,6 +10,7 @@ Run:  python examples/evaluate_defense_with_svard.py
 
 from repro.core import Svard, VulnerabilityProfile
 from repro.defenses import DEFENSE_CLASSES, SvardThresholds
+from repro.experiments.common import DEFENSE_EPOCH_NS
 from repro.faults import module_by_label
 from repro.sim import MemorySystem, SystemConfig, compute_metrics
 from repro.workloads import build_traces, generate_mixes
@@ -20,7 +21,9 @@ PROFILE_MODULE = "S0"
 
 
 def main() -> None:
-    config = SystemConfig(requests_per_core=3000, defense_epoch_ns=1e6)
+    config = SystemConfig(
+        requests_per_core=3000, defense_epoch_ns=DEFENSE_EPOCH_NS
+    )
     mix = generate_mixes(1, seed=7)[0]
     print(f"mix: {', '.join(mix.suites)}")
 
@@ -51,10 +54,10 @@ def main() -> None:
             ("No Svärd", None),
             (f"Svärd-{PROFILE_MODULE}", SvardThresholds(svard)),
         ):
-            kwargs = dict(rows_per_bank=config.rows_per_bank, seed=0)
-            if thresholds is not None:
-                kwargs["thresholds"] = thresholds
-            defense = DEFENSE_CLASSES[name](HC_FIRST, **kwargs)
+            defense = DEFENSE_CLASSES[name](
+                HC_FIRST, thresholds=thresholds,
+                rows_per_bank=config.rows_per_bank, seed=0,
+            )
             result = MemorySystem(
                 config, build_traces(mix, config), defense=defense
             ).run()

@@ -12,9 +12,7 @@ On one tiny 128-row XOR_FOLD module (32-row subarrays), runs
 
 This is the cheap ``make test``-time guarantee that the vectorized
 measurement paths cannot drift from the command-faithful loops without
-CI noticing; the full cross-product lives in ``tests/test_kernels.py``
-and the timed characterization comparison in
-``benchmarks/bench_kernels.py``.
+CI noticing; the full cross-product lives in ``tests/test_kernels.py``.
 """
 
 from __future__ import annotations

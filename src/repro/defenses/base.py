@@ -171,6 +171,11 @@ class Defense(ABC):
         )
         self.rows_per_bank = rows_per_bank
         self.seed = seed
+        #: The epoch (ns) between :meth:`on_refresh_window` calls.  The
+        #: memory system that drives the defense owns it and sets it
+        #: before the first ACT (see :meth:`repro.sim.engine.MemorySystem.run`);
+        #: a caller driving the defense by hand sets it likewise.
+        self.epoch_ns: Optional[float] = None
         self.stats = DefenseStats()
         self._binding_thresholds: Dict[Tuple[int, int], float] = {}
 
@@ -181,7 +186,7 @@ class Defense(ABC):
         """Observe one ACT; return the preventive actions to perform."""
 
     def on_refresh_window(self, now_ns: float) -> None:
-        """Called once per refresh window (tREFW): reset epoch state."""
+        """Called once per epoch (:attr:`epoch_ns`): reset epoch state."""
 
     # ------------------------------------------------------------------
 

@@ -12,6 +12,11 @@ row are delayed so consecutive activations are at least
 ``epoch / (T / 2)`` apart -- capping the achievable count within an
 epoch at ``T / 2`` (the standard double-sided safety factor: each
 victim sees hammers from two aggressors).
+
+The epoch is the memory system's: :class:`repro.sim.engine.MemorySystem`
+sets :attr:`~repro.defenses.base.Defense.epoch_ns` to the period of its
+``on_refresh_window`` calls (``defense_epoch_ns``, else tREFW) before
+the first ACT, so BlockHammer paces on the same window it resets on.
 """
 
 from __future__ import annotations
@@ -20,9 +25,6 @@ from typing import Dict, List, Tuple
 
 from repro.defenses.base import Defense, Mitigation, ThrottleDelay
 from repro.defenses.bloom import DualCountingBloomFilter
-
-#: DDR4 refresh window at normal temperature (ns).
-DEFAULT_EPOCH_NS = 64_000_000.0
 
 
 class BlockHammer(Defense):
@@ -34,7 +36,6 @@ class BlockHammer(Defense):
         self,
         hc_first: float,
         *,
-        epoch_ns: float = DEFAULT_EPOCH_NS,
         n_counters: int = 1024,
         n_hashes: int = 4,
         blacklist_fraction: float = 0.25,
@@ -42,11 +43,8 @@ class BlockHammer(Defense):
         **kwargs,
     ) -> None:
         super().__init__(hc_first, **kwargs)
-        if epoch_ns <= 0:
-            raise ValueError("epoch must be positive")
         if not 0 < blacklist_fraction < quota_fraction <= 1.0:
             raise ValueError("require 0 < blacklist_fraction < quota_fraction <= 1")
-        self.epoch_ns = epoch_ns
         self.blacklist_fraction = blacklist_fraction
         self.quota_fraction = quota_fraction
         self._filters: Dict[int, DualCountingBloomFilter] = {}

@@ -27,6 +27,7 @@ from repro.experiments.api import (
     register,
 )
 from repro.experiments.common import (
+    DEFENSE_EPOCH_NS,
     ExperimentScale,
     mix_baseline_task,
     scaled_profile,
@@ -156,7 +157,8 @@ class AblationBinsExperiment(Experiment):
 
     def _config(self, scale: ExperimentScale) -> SystemConfig:
         return self.system_config or scale.system_config(
-            requests_per_core=scale.requests_per_core, defense_epoch_ns=1e6
+            requests_per_core=scale.requests_per_core,
+            defense_epoch_ns=DEFENSE_EPOCH_NS,
         )
 
     @staticmethod

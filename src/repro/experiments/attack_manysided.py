@@ -18,9 +18,6 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.svard import Svard
-from repro.defenses import DEFENSE_CLASSES
-from repro.defenses.base import SvardThresholds, ThresholdProvider
 from repro.experiments.api import (
     Experiment,
     PlotSpec,
@@ -31,20 +28,18 @@ from repro.experiments.api import (
     register,
 )
 from repro.experiments.common import (
+    DEFENSE_EPOCH_NS,
     NO_SVARD,
     ExperimentScale,
-    scaled_profile,
     svard_configurations,
 )
-from repro.experiments.fig13_adversarial import HC_FIRST
-from repro.orchestration import (
-    OrchestrationContext,
-    Task,
-    TaskGroup,
-    make_task,
+from repro.experiments.fig13_adversarial import (
+    HC_FIRST,
+    attack_baseline_task,
+    attack_task,
 )
+from repro.orchestration import OrchestrationContext, TaskGroup, make_task
 from repro.sim.config import SystemConfig
-from repro.sim.engine import MemorySystem
 from repro.workloads.adversarial import ManySidedHammerTrace
 
 #: The aggressor-count sweep: double-sided, the common many-sided
@@ -142,32 +137,6 @@ def _attack_traces(n_sides: int, config: SystemConfig) -> List:
     ]
 
 
-def _baseline_task(task: Task) -> List[float]:
-    """No-defense finish times under one N-sided rotation."""
-    n_sides, config = task.params
-    return MemorySystem(
-        config, _attack_traces(n_sides, config)
-    ).run().finish_times()
-
-
-def _attack_task(task: Task) -> List[float]:
-    """Finish times of one (defense, N, Svärd configuration) cell."""
-    defense_name, n_sides, configuration, scale, config = task.params
-    thresholds: Optional[ThresholdProvider] = None
-    if configuration != NO_SVARD:
-        profile = scaled_profile(
-            configuration.removeprefix("Svärd-"), HC_FIRST, scale
-        )
-        thresholds = SvardThresholds(Svard.build(profile))
-    kwargs = dict(rows_per_bank=config.rows_per_bank, seed=scale.seed)
-    if thresholds is not None:
-        kwargs["thresholds"] = thresholds
-    defense = DEFENSE_CLASSES[defense_name](HC_FIRST, **kwargs)
-    return MemorySystem(
-        config, _attack_traces(n_sides, config), defense=defense
-    ).run().finish_times()
-
-
 @register
 class ManySidedExperiment(Experiment):
     name = "attack-manysided"
@@ -184,7 +153,7 @@ class ManySidedExperiment(Experiment):
     def _config(self, scale: ExperimentScale) -> SystemConfig:
         return self.system_config or scale.system_config(
             requests_per_core=max(scale.requests_per_core, 6_000),
-            defense_epoch_ns=1_000_000.0,
+            defense_epoch_ns=DEFENSE_EPOCH_NS,
         )
 
     def build_tasks(self, scale, orch):
@@ -192,8 +161,8 @@ class ManySidedExperiment(Experiment):
         tasks = [
             make_task(
                 ("attack-manysided", "baseline", n_sides),
-                _baseline_task,
-                (n_sides, config),
+                attack_baseline_task,
+                (_attack_traces, n_sides, config),
                 base_seed=scale.seed,
             )
             for n_sides in N_SIDES_SWEEP
@@ -202,8 +171,11 @@ class ManySidedExperiment(Experiment):
             make_task(
                 ("attack-manysided", "attack", defense_name, n_sides,
                  configuration),
-                _attack_task,
-                (defense_name, n_sides, configuration, scale, config),
+                attack_task,
+                (
+                    _attack_traces, n_sides, defense_name, configuration,
+                    scale, config,
+                ),
                 base_seed=scale.seed,
             )
             for defense_name in self.DEFENSE_NAMES

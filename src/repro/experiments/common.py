@@ -13,6 +13,8 @@ from repro.characterization.runner import (
     ModuleCharacterization,
 )
 from repro.core.profile import VulnerabilityProfile
+from repro.core.svard import Svard
+from repro.defenses.base import SvardThresholds, ThresholdProvider
 from repro.dram.geometry import REPRESENTATIVE_BANKS
 from repro.dram.timing import device_for
 from repro.faults.modules import MODULES, ModuleSpec, module_by_label
@@ -38,6 +40,13 @@ ALL_MODULE_LABELS: Tuple[str, ...] = tuple(sorted(MODULES))
 #: The baseline configuration name shared by the Svärd evaluations.
 NO_SVARD = "No Svärd"
 
+#: The defense epoch of every simulated experiment (ns).  An experiment
+#: simulates a slice of a refresh window, so it compresses the epoch the
+#: defenses pace and reset on from tREFW to 1 ms, keeping
+#: quota-per-window semantics representative (EXPERIMENTS.md, "time
+#: compression").
+DEFENSE_EPOCH_NS = 1_000_000.0
+
 
 def svard_configurations(scale: "ExperimentScale") -> Tuple[str, ...]:
     """Fig 12/13's configuration axis: No Svärd + one per profile.
@@ -48,6 +57,21 @@ def svard_configurations(scale: "ExperimentScale") -> Tuple[str, ...]:
     return (NO_SVARD,) + tuple(
         f"Svärd-{label}" for label in scale.svard_profiles
     )
+
+
+def svard_thresholds(
+    configuration: str, hc_first: int, scale: "ExperimentScale"
+) -> Optional[ThresholdProvider]:
+    """The threshold provider of one :func:`svard_configurations` name.
+
+    ``None`` for No Svärd, which leaves a defense on the global worst
+    case; otherwise Svärd built on the named module's profile scaled to
+    ``hc_first``.
+    """
+    if configuration == NO_SVARD:
+        return None
+    label = configuration.removeprefix("Svärd-")
+    return SvardThresholds(Svard.build(scaled_profile(label, hc_first, scale)))
 
 
 @dataclass(frozen=True)

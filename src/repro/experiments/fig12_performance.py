@@ -15,9 +15,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.svard import Svard
 from repro.defenses import DEFENSE_CLASSES
-from repro.defenses.base import Defense, SvardThresholds, ThresholdProvider
+from repro.defenses.base import ThresholdProvider
 from repro.experiments.api import (
     Experiment,
     ExperimentError,
@@ -29,11 +28,12 @@ from repro.experiments.api import (
     register,
 )
 from repro.experiments.common import (
+    DEFENSE_EPOCH_NS,
     NO_SVARD,
     ExperimentScale,
     mix_baseline_task,
-    scaled_profile,
     svard_configurations,
+    svard_thresholds,
 )
 from repro.orchestration import (
     OrchestrationContext,
@@ -45,10 +45,6 @@ from repro.sim.config import SystemConfig
 from repro.sim.engine import MemorySystem
 from repro.sim.metrics import MultiProgramMetrics, compute_metrics
 from repro.workloads.mixes import WorkloadMix, build_traces, generate_mixes
-
-#: Compressed defense-epoch used by the simulated slice (see
-#: EXPERIMENTS.md, "time compression").
-DEFENSE_EPOCH_NS = 1_000_000.0
 
 TITLE = "Fig 12: Svärd performance evaluation"
 
@@ -155,29 +151,6 @@ def result_set(result: Fig12Result) -> ResultSet:
     )
 
 
-def _svard_provider(
-    profile_label: str, hc_first: int, scale: ExperimentScale
-) -> ThresholdProvider:
-    return SvardThresholds(
-        Svard.build(scaled_profile(profile_label, hc_first, scale))
-    )
-
-
-def _make_defense(
-    name: str,
-    hc_first: int,
-    config: SystemConfig,
-    thresholds: Optional[ThresholdProvider],
-    seed: int,
-) -> Defense:
-    kwargs = dict(rows_per_bank=config.rows_per_bank, seed=seed)
-    if thresholds is not None:
-        kwargs["thresholds"] = thresholds
-    if name == "BlockHammer":
-        kwargs["epoch_ns"] = config.defense_epoch_ns or DEFENSE_EPOCH_NS
-    return DEFENSE_CLASSES[name](hc_first, **kwargs)
-
-
 def _mean_metrics(values: Sequence[MultiProgramMetrics]) -> MultiProgramMetrics:
     return MultiProgramMetrics(
         weighted_speedup=float(np.mean([v.weighted_speedup for v in values])),
@@ -197,17 +170,7 @@ def _provider_setup(task: Task) -> ThresholdProvider:
     so memoization never changes results.
     """
     _mix, _defense, configuration, hc, scale, _config = task.params
-    return _svard_provider(configuration.removeprefix("Svärd-"), hc, scale)
-
-
-def _provider_setup_key(
-    configuration: str, hc_first: int, scale: ExperimentScale
-) -> tuple:
-    profile_label = configuration.removeprefix("Svärd-")
-    return (
-        "fig12-provider", profile_label, hc_first,
-        scale.banks, scale.rows_for(profile_label), scale.seed,
-    )
+    return svard_thresholds(configuration, hc, scale)
 
 
 def _simulation_task(
@@ -223,7 +186,10 @@ def _simulation_task(
     declare no setup).
     """
     mix, defense_name, _configuration, hc, scale, config = task.params
-    defense = _make_defense(defense_name, hc, config, thresholds, scale.seed)
+    defense = DEFENSE_CLASSES[defense_name](
+        hc, thresholds=thresholds, rows_per_bank=config.rows_per_bank,
+        seed=scale.seed,
+    )
     result = MemorySystem(
         config, build_traces(mix, config), defense=defense
     ).run()
@@ -298,7 +264,7 @@ class Fig12Experiment(Experiment):
                     _provider_setup if configuration != NO_SVARD else None
                 ),
                 setup_key=(
-                    _provider_setup_key(configuration, hc, scale)
+                    (configuration, hc, scale)
                     if configuration != NO_SVARD else None
                 ),
             )

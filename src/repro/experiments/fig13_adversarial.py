@@ -10,13 +10,11 @@ Mfr. S profile (Obsv 17).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.svard import Svard
 from repro.defenses import DEFENSE_CLASSES
-from repro.defenses.base import SvardThresholds, ThresholdProvider
 from repro.experiments.api import (
     Experiment,
     PlotSpec,
@@ -27,10 +25,11 @@ from repro.experiments.api import (
     register,
 )
 from repro.experiments.common import (
+    DEFENSE_EPOCH_NS,
     NO_SVARD,
     ExperimentScale,
-    scaled_profile,
     svard_configurations,
+    svard_thresholds,
 )
 from repro.orchestration import (
     OrchestrationContext,
@@ -140,32 +139,47 @@ def _adversarial_traces(defense_name: str, config: SystemConfig) -> List:
     ]
 
 
-def _baseline_task(task: Task) -> List[float]:
-    """No-defense finish times under one adversarial pattern."""
-    defense_name, config = task.params
-    return MemorySystem(
-        config, _adversarial_traces(defense_name, config)
-    ).run().finish_times()
+def attack_baseline_task(task: Task) -> List[float]:
+    """No-defense finish times of an attack experiment's traces.
+
+    ``task.params`` is ``(make_traces, pattern, config)``: the cores
+    replay ``make_traces(pattern, config)``.  Fig 13 and
+    attack-manysided share this task and :func:`attack_task`.
+    """
+    make_traces, pattern, config = task.params
+    return MemorySystem(config, make_traces(pattern, config)).run().finish_times()
 
 
-def _attack_task(task: Task) -> List[float]:
-    """Finish times of one (defense, Svärd configuration) under attack."""
-    defense_name, configuration, scale, config = task.params
-    thresholds: Optional[ThresholdProvider] = None
-    if configuration != NO_SVARD:
-        profile = scaled_profile(
-            configuration.removeprefix("Svärd-"), HC_FIRST, scale
-        )
-        thresholds = SvardThresholds(Svard.build(profile))
-    kwargs = dict(rows_per_bank=config.rows_per_bank, seed=scale.seed)
-    if thresholds is not None:
-        kwargs["thresholds"] = thresholds
-    if defense_name == "Hydra":
-        kwargs["rcc_entries"] = HYDRA_RCC_ENTRIES
-    defense = DEFENSE_CLASSES[defense_name](HC_FIRST, **kwargs)
-    return MemorySystem(
-        config, _adversarial_traces(defense_name, config), defense=defense
-    ).run().finish_times()
+def attack_cell(
+    make_traces: Callable[[Any, SystemConfig], List],
+    pattern: Any,
+    defense_name: str,
+    configuration: str,
+    scale: ExperimentScale,
+    config: SystemConfig,
+) -> MemorySystem:
+    """One defended cell of an attack experiment, not yet run.
+
+    The cores replay ``make_traces(pattern, config)`` against
+    ``defense_name`` at :data:`HC_FIRST` with the thresholds of the
+    Svärd ``configuration``; Hydra gets the scaled-down row-count
+    cache.  The arguments are an :func:`attack_task`'s params, so a
+    caller that reads the defense's counters runs the task's own cell.
+    """
+    options = {"rcc_entries": HYDRA_RCC_ENTRIES} if defense_name == "Hydra" else {}
+    defense = DEFENSE_CLASSES[defense_name](
+        HC_FIRST,
+        thresholds=svard_thresholds(configuration, HC_FIRST, scale),
+        rows_per_bank=config.rows_per_bank,
+        seed=scale.seed,
+        **options,
+    )
+    return MemorySystem(config, make_traces(pattern, config), defense=defense)
+
+
+def attack_task(task: Task) -> List[float]:
+    """Finish times of one :func:`attack_cell` under attack."""
+    return attack_cell(*task.params).run().finish_times()
 
 
 @register
@@ -182,7 +196,7 @@ class Fig13Experiment(Experiment):
     def _config(self, scale: ExperimentScale) -> SystemConfig:
         return self.system_config or scale.system_config(
             requests_per_core=max(scale.requests_per_core, 12_000),
-            defense_epoch_ns=1_000_000.0,
+            defense_epoch_ns=DEFENSE_EPOCH_NS,
         )
 
     def build_tasks(self, scale, orch):
@@ -190,8 +204,8 @@ class Fig13Experiment(Experiment):
         tasks = [
             make_task(
                 ("fig13", "baseline", defense_name),
-                _baseline_task,
-                (defense_name, config),
+                attack_baseline_task,
+                (_adversarial_traces, defense_name, config),
                 base_seed=scale.seed,
             )
             for defense_name in self.DEFENSE_NAMES
@@ -199,8 +213,11 @@ class Fig13Experiment(Experiment):
         tasks += [
             make_task(
                 ("fig13", "attack", defense_name, configuration),
-                _attack_task,
-                (defense_name, configuration, scale, config),
+                attack_task,
+                (
+                    _adversarial_traces, defense_name, defense_name,
+                    configuration, scale, config,
+                ),
                 base_seed=scale.seed,
             )
             for defense_name in self.DEFENSE_NAMES

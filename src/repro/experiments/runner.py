@@ -53,7 +53,7 @@ from repro.experiments.api import (
     display_table,
 )
 from repro.dram.timing import device_for
-from repro.experiments.common import ExperimentScale
+from repro.experiments.common import DEFENSE_EPOCH_NS, ExperimentScale
 from repro.experiments.recipes import (
     Recipe,
     RecipeError,
@@ -890,10 +890,9 @@ def _cmd_check_timing(argv) -> int:
     from repro.sim.conformance import check_run
     from repro.sim.engine import MemorySystem
     from repro.workloads import (
-        SyntheticTrace,
         TraceParseError,
-        profile_by_name,
         readers_for_cores,
+        synthetic_traces,
     )
 
     parser = _check_timing_parser()
@@ -927,7 +926,7 @@ def _cmd_check_timing(argv) -> int:
         rows_per_bank=args.rows_per_bank,
         requests_per_core=args.requests_per_core,
         timing=timing,
-        defense_epoch_ns=1_000_000.0 if defense_name else None,
+        defense_epoch_ns=DEFENSE_EPOCH_NS if defense_name else None,
     )
     if args.trace is not None:
         try:
@@ -944,26 +943,17 @@ def _cmd_check_timing(argv) -> int:
             return 2
     else:
         try:
-            profile = profile_by_name(args.suite)
+            traces = synthetic_traces(
+                [args.suite] * config.cores, config, args.seed * 1000
+            )
         except KeyError as error:
             parser.error(str(error.args[0]))
-        traces = [
-            SyntheticTrace(
-                profile,
-                total_banks=config.total_banks,
-                rows_per_bank=config.rows_per_bank,
-                columns_per_row=config.columns_per_row,
-                seed=args.seed * 1000 + core,
-            )
-            for core in range(config.cores)
-        ]
 
     defense = None
     if defense_name is not None:
-        kwargs = dict(rows_per_bank=config.rows_per_bank, seed=args.seed)
-        if defense_name == "BlockHammer":
-            kwargs["epoch_ns"] = config.defense_epoch_ns
-        defense = DEFENSE_CLASSES[defense_name](args.hc_first, **kwargs)
+        defense = DEFENSE_CLASSES[defense_name](
+            args.hc_first, rows_per_bank=config.rows_per_bank, seed=args.seed
+        )
 
     system = MemorySystem(config, traces, defense=defense, seed=args.seed)
     try:
@@ -993,7 +983,7 @@ def _cmd_check_timing(argv) -> int:
         if args.device is not None:
             # Key only present for --device runs: the DDR4 --speed
             # document stays byte-identical to the pre-generation one
-            # (generations-smoke byte-diffs it against a golden).
+            # (conformance-smoke byte-diffs it against a golden).
             document["device"] = args.device
         print(json.dumps(document, indent=2, sort_keys=True))
     else:

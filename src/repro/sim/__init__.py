@@ -9,7 +9,6 @@ defense hook on every row activation that charges each preventive
 action's DRAM cost.
 
 * :mod:`repro.sim.config` -- the Table 4 system configuration.
-* :mod:`repro.sim.cache` -- a set-associative last-level cache model.
 * :mod:`repro.sim.engine` -- the event-driven simulator core.
 * :mod:`repro.sim.metrics` -- weighted/harmonic speedup, max slowdown.
 * :mod:`repro.sim.conformance` -- the command-granular JEDEC timing
@@ -18,7 +17,6 @@ action's DRAM cost.
 """
 
 from repro.sim.config import SystemConfig, MitigationCosts
-from repro.sim.cache import SetAssociativeCache
 from repro.sim.engine import MemorySystem, SimulationResult, CoreResult
 from repro.sim.conformance import (
     ConformanceReport,
@@ -39,7 +37,6 @@ from repro.sim.metrics import (
 __all__ = [
     "SystemConfig",
     "MitigationCosts",
-    "SetAssociativeCache",
     "MemorySystem",
     "SimulationResult",
     "CoreResult",

@@ -32,6 +32,7 @@ class SystemConfig:
     llc_bytes_per_core: int = 2 * 1024 * 1024
     requests_per_core: int = 2000
     #: Period of the defenses' epoch resets (None = the full tREFW).
+    #: The engine hands it to the defense, which also paces on it.
     #: Experiments simulate a slice of a refresh window, so they
     #: compress the epoch to keep quota-per-window semantics
     #: representative (see EXPERIMENTS.md).
@@ -46,6 +47,10 @@ class SystemConfig:
             raise ValueError("MLP must be positive")
         if self.requests_per_core < 1:
             raise ValueError("requests_per_core must be positive")
+        # A negative epoch re-arms the engine's epoch event in its own
+        # past, so the run never ends; `not >` also rejects NaN.
+        if self.defense_epoch_ns is not None and not self.defense_epoch_ns > 0:
+            raise ValueError("defense_epoch_ns must be positive")
 
     @property
     def banks_per_rank(self) -> int:
@@ -62,8 +67,10 @@ class MitigationCosts:
 
     * A victim refresh is one row cycle (ACT + restore + PRE).
     * A counter read/write (Hydra) is a row cycle plus a column burst.
-    * A row migration (AQUA) streams the whole row out and back.
-    * A row swap (RRS) is two migrations.
+    * A row copy is charged in halves, each a row cycle plus the row's
+      column burst: a migration (AQUA) streams the row out and back
+      (two halves), a swap (RRS) is two migrations (four halves; see
+      :data:`repro.defenses.base.MITIGATION_ACCOUNTING`).
     """
 
     timing: TimingParameters = field(default_factory=lambda: DDR4_3200)
@@ -81,12 +88,3 @@ class MitigationCosts:
     def row_copy_half_ns(self) -> float:
         """One half of a row copy: a row cycle plus the row's column burst."""
         return self.timing.tRC + self.columns_per_row * self.timing.column_to_column_ns
-
-    @property
-    def migration_ns(self) -> float:
-        burst = self.columns_per_row * self.timing.column_to_column_ns
-        return 2 * self.timing.tRC + 2 * burst
-
-    @property
-    def swap_ns(self) -> float:
-        return 2 * self.migration_ns

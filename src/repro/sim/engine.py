@@ -242,6 +242,9 @@ class MemorySystem:
         seq += 1
         epoch_ns = config.defense_epoch_ns or timing.tREFW
         if defense is not None:
+            # The engine owns the epoch: the defense paces on the same
+            # window it is reset on.
+            defense.epoch_ns = epoch_ns
             heappush(heap, (epoch_ns, seq, _EPOCH, None))
             seq += 1
 

@@ -11,7 +11,7 @@ reproduce the memory behaviour classes those suites cover.
   generator.
 * :mod:`repro.workloads.suites` -- the five suite profiles.
 * :mod:`repro.workloads.mixes` -- seeded construction of the 120
-  8-core mixes.
+  8-core mixes and of any per-core list of synthetic traces.
 * :mod:`repro.workloads.adversarial` -- the Fig 13 adversarial
   patterns against Hydra and RRS, plus many-sided (N-aggressor)
   hammering.
@@ -21,7 +21,12 @@ reproduce the memory behaviour classes those suites cover.
 
 from repro.workloads.synthetic import SuiteProfile, SyntheticTrace
 from repro.workloads.suites import SUITE_PROFILES, profile_by_name
-from repro.workloads.mixes import WorkloadMix, generate_mixes, build_traces
+from repro.workloads.mixes import (
+    WorkloadMix,
+    build_traces,
+    generate_mixes,
+    synthetic_traces,
+)
 from repro.workloads.adversarial import (
     HydraAdversarialTrace,
     ManySidedHammerTrace,
@@ -42,6 +47,7 @@ __all__ = [
     "WorkloadMix",
     "generate_mixes",
     "build_traces",
+    "synthetic_traces",
     "HydraAdversarialTrace",
     "ManySidedHammerTrace",
     "RrsAdversarialTrace",

@@ -47,18 +47,28 @@ def generate_mixes(
     return mixes
 
 
-def build_traces(mix: WorkloadMix, config: SystemConfig) -> List[SyntheticTrace]:
-    """Instantiate one trace per core for a mix on a configuration."""
+def synthetic_traces(
+    suites: Sequence[str], config: SystemConfig, first_seed: int
+) -> List[SyntheticTrace]:
+    """One trace per suite name, on the configuration's geometry.
+
+    Core ``i`` runs ``suites[i]``, seeded ``first_seed + i``.
+    """
     return [
         SyntheticTrace(
             profile_by_name(suite),
             total_banks=config.total_banks,
             rows_per_bank=config.rows_per_bank,
             columns_per_row=config.columns_per_row,
-            seed=mix.seed * 1000 + core,
+            seed=first_seed + core,
         )
-        for core, suite in enumerate(mix.suites)
+        for core, suite in enumerate(suites)
     ]
+
+
+def build_traces(mix: WorkloadMix, config: SystemConfig) -> List[SyntheticTrace]:
+    """Instantiate one trace per core for a mix on a configuration."""
+    return synthetic_traces(mix.suites, config, mix.seed * 1000)
 
 
 def single_core_config(config: SystemConfig) -> SystemConfig:
@@ -72,12 +82,6 @@ def build_alone_trace(
     mix: WorkloadMix, core: int, config: SystemConfig
 ) -> List[SyntheticTrace]:
     """The same core's trace, alone on the system (same seed)."""
-    return [
-        SyntheticTrace(
-            profile_by_name(mix.suites[core]),
-            total_banks=config.total_banks,
-            rows_per_bank=config.rows_per_bank,
-            columns_per_row=config.columns_per_row,
-            seed=mix.seed * 1000 + core,
-        )
-    ]
+    return synthetic_traces(
+        mix.suites[core:core + 1], config, mix.seed * 1000 + core
+    )

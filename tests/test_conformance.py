@@ -27,6 +27,7 @@ from repro.dram.timing import (
     LPDDR4_3200,
     device_for,
 )
+from repro.experiments.common import DEFENSE_EPOCH_NS
 from repro.sim.config import SystemConfig
 from repro.sim.conformance import (
     REFRESH_POSTPONE_LIMIT,
@@ -38,8 +39,7 @@ from repro.sim.conformance import (
 )
 from repro.sim.engine import MemorySystem, TraceStep
 from repro.workloads.adversarial import HydraAdversarialTrace, RrsAdversarialTrace
-from repro.workloads.suites import profile_by_name
-from repro.workloads.synthetic import SyntheticTrace
+from repro.workloads.mixes import synthetic_traces
 
 T = DDR4_3200
 
@@ -57,18 +57,9 @@ def small_config(**overrides):
     return SystemConfig(**defaults)
 
 
-def synthetic_traces(config, suite="ycsb", seed=0):
-    profile = profile_by_name(suite)
-    return [
-        SyntheticTrace(
-            profile,
-            total_banks=config.total_banks,
-            rows_per_bank=config.rows_per_bank,
-            columns_per_row=config.columns_per_row,
-            seed=seed * 1000 + core,
-        )
-        for core in range(config.cores)
-    ]
+def suite_traces(config, suite="ycsb"):
+    """One ``suite`` trace per core, core ``i`` seeded ``i``."""
+    return synthetic_traces([suite] * config.cores, config, 0)
 
 
 class TestTimingRules:
@@ -272,7 +263,7 @@ class TestEngineConformance:
         config = small_config(
             cores=2, requests_per_core=400, timing=device_for(speed)
         )
-        system = MemorySystem(config, synthetic_traces(config, suite))
+        system = MemorySystem(config, suite_traces(config, suite))
         result, report = check_run(system)
         assert report.ok, report.render_text()
         assert result.activations > 0
@@ -284,12 +275,11 @@ class TestEngineConformance:
         config = small_config(
             cores=2, requests_per_core=300, defense_epoch_ns=100_000.0
         )
-        kwargs = dict(rows_per_bank=config.rows_per_bank, seed=0)
-        if name == "BlockHammer":
-            kwargs["epoch_ns"] = config.defense_epoch_ns
-        defense = DEFENSE_CLASSES[name](512, **kwargs)
+        defense = DEFENSE_CLASSES[name](
+            512, rows_per_bank=config.rows_per_bank, seed=0
+        )
         system = MemorySystem(
-            config, synthetic_traces(config, "spec06"), defense=defense, seed=0
+            config, suite_traces(config, "spec06"), defense=defense, seed=0
         )
         _, report = check_run(system)
         assert report.ok, report.render_text()
@@ -302,7 +292,7 @@ class TestEngineConformance:
         config = small_config(
             cores=2, requests_per_core=400, timing=timing
         )
-        system = MemorySystem(config, synthetic_traces(config))
+        system = MemorySystem(config, suite_traces(config))
         result, report = check_run(system)
         assert report.ok, report.render_text()
         assert result.refreshes_issued > 0
@@ -327,7 +317,7 @@ class TestEngineConformance:
         from repro.workloads.mixes import build_traces, generate_mixes
 
         config = SystemConfig(
-            requests_per_core=4000, defense_epoch_ns=1_000_000.0
+            requests_per_core=4000, defense_epoch_ns=DEFENSE_EPOCH_NS
         )
         mix = generate_mixes(1, cores=config.cores, seed=42)[0]
         traces = build_traces(mix, config)
@@ -349,7 +339,7 @@ class TestEngineConformance:
         # own timing but must violate a rulebook with 4x tRCD.
         config = small_config(requests_per_core=300)
         log = []
-        MemorySystem(config, synthetic_traces(config)).run(command_log=log)
+        MemorySystem(config, suite_traces(config)).run(command_log=log)
         strict = dataclasses.replace(T, tRCD=4 * T.tRCD)
         report = TimingChecker(strict).replay(log)
         assert not report.ok
@@ -358,7 +348,7 @@ class TestEngineConformance:
     def test_logging_does_not_change_results(self):
         def run(with_log):
             config = small_config(cores=2, requests_per_core=400)
-            system = MemorySystem(config, synthetic_traces(config), seed=3)
+            system = MemorySystem(config, suite_traces(config), seed=3)
             if with_log:
                 return system.run(command_log=[]), None
             return system.run(), None

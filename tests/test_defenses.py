@@ -21,6 +21,7 @@ from repro.defenses.bloom import CountingBloomFilter, DualCountingBloomFilter
 from repro.defenses.hydra import Hydra
 from repro.defenses.para import Para
 from repro.defenses.rrs import MisraGriesTracker, RandomizedRowSwap
+from repro.dram.timing import DDR4_3200
 from repro.faults.modules import module_by_label
 
 
@@ -175,14 +176,23 @@ class TestPara:
         assert mitigations[0].rows == (1,)
 
 
+def blockhammer(hc_first, epoch=DDR4_3200.tREFW):
+    """A BlockHammer given its epoch the way the memory system gives it:
+    by default DDR4's refresh window, what the engine hands a defense
+    when ``defense_epoch_ns`` is unset."""
+    defense = BlockHammer(hc_first=hc_first, seed=0)
+    defense.epoch_ns = epoch
+    return defense
+
+
 class TestBlockHammer:
     def test_no_throttle_below_blacklist(self):
-        defense = BlockHammer(hc_first=1000, seed=0)
+        defense = blockhammer(1000)
         for i in range(100):
             assert defense.on_activation(0, 5, i * 50.0) == []
 
     def test_throttles_hot_row(self):
-        defense = BlockHammer(hc_first=1000, seed=0)
+        defense = blockhammer(1000)
         throttled = False
         now = 0.0
         for _ in range(600):
@@ -196,7 +206,7 @@ class TestBlockHammer:
     def test_throttle_caps_epoch_activation_count(self):
         """Security: a hammered row cannot exceed quota in an epoch."""
         epoch = 1_000_000.0  # small epoch for a fast test
-        defense = BlockHammer(hc_first=512, epoch_ns=epoch, seed=0)
+        defense = blockhammer(512, epoch=epoch)
         now, activations = 0.0, 0
         while now < epoch:
             delay = sum(
@@ -212,13 +222,13 @@ class TestBlockHammer:
         assert activations <= quota + defense.blacklist_fraction * 512 + 1
 
     def test_never_refreshes(self):
-        defense = BlockHammer(hc_first=100, seed=0)
+        defense = blockhammer(100)
         for i in range(500):
             for m in defense.on_activation(0, 5, i * 50.0):
                 assert not isinstance(m, VictimRefresh)
 
     def test_epoch_rotation_forgets_history(self):
-        defense = BlockHammer(hc_first=400, seed=0)
+        defense = blockhammer(400)
         for i in range(300):
             defense.on_activation(0, 5, i * 50.0)
         defense.on_refresh_window(1e9)
@@ -370,9 +380,12 @@ class TestHydraReference:
     def test_matches_reference_hook(self, provider, hc_first):
         """Same mitigations per ACT and same stats as the reference
         hook, across epoch resets, under both threshold providers."""
-        kwargs = dict(rows_per_bank=2048, rcc_entries=16, seed=0)
-        if provider == "svard":
-            kwargs["thresholds"], _ = make_svard_provider(hc_first)
+        thresholds = (
+            make_svard_provider(hc_first)[0] if provider == "svard" else None
+        )
+        kwargs = dict(
+            thresholds=thresholds, rows_per_bank=2048, rcc_entries=16, seed=0
+        )
         hydra = Hydra(hc_first, **kwargs)
         reference = ReferenceHydra(hc_first, **kwargs)
         kinds = set()

@@ -16,6 +16,7 @@ import pytest
 
 from repro.experiments import fig12_performance, fig13_adversarial
 from repro.experiments.common import (
+    DEFENSE_EPOCH_NS,
     ExperimentScale,
     _CHARACTERIZATION_CACHE,
     characterize_modules,
@@ -96,7 +97,9 @@ class TestDeterminism:
         )
         # fig13 defaults to 12K requests/core; a small explicit config
         # keeps this equivalence check fast.
-        config = SystemConfig(requests_per_core=1500, defense_epoch_ns=1e6)
+        config = SystemConfig(
+            requests_per_core=1500, defense_epoch_ns=DEFENSE_EPOCH_NS
+        )
         serial = fig13_adversarial.run(scale, system_config=config)
         ctx = OrchestrationContext(jobs=2, cache=ResultCache(tmp_path))
         parallel = fig13_adversarial.run(

@@ -7,15 +7,18 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.svard import Svard
 from repro.defenses import DEFENSE_CLASSES
-from repro.defenses.base import GlobalThreshold, SvardThresholds
+from repro.defenses.base import MITIGATION_ACCOUNTING, RowMigration, RowSwap
+from repro.defenses.blockhammer import BlockHammer
 from repro.defenses.para import Para
 from repro.defenses.rrs import RandomizedRowSwap
 from repro.dram.timing import device_for
 from repro.experiments import attack_manysided, fig13_adversarial
-from repro.experiments.common import NO_SVARD, ExperimentScale, scaled_profile
-from repro.sim.cache import SetAssociativeCache
+from repro.experiments.common import (
+    DEFENSE_EPOCH_NS,
+    ExperimentScale,
+    svard_configurations,
+)
 from repro.sim.config import MitigationCosts, SystemConfig
 from repro.sim.engine import MemorySystem, TraceStep
 from repro.sim.metrics import (
@@ -24,6 +27,7 @@ from repro.sim.metrics import (
     max_slowdown,
     weighted_speedup,
 )
+from repro.workloads.mixes import synthetic_traces
 from repro.workloads.suites import profile_by_name
 from repro.workloads.synthetic import SyntheticTrace
 
@@ -64,12 +68,20 @@ class TestSystemConfig:
             SystemConfig(cores=0)
         with pytest.raises(ValueError):
             SystemConfig(column_cap=0)
+        # A negative epoch used to hang the run; 0 used to mean tREFW.
+        for epoch_ns in (-1000.0, 0.0, float("nan")):
+            with pytest.raises(ValueError):
+                SystemConfig(defense_epoch_ns=epoch_ns)
 
     def test_mitigation_costs_ordering(self):
         costs = MitigationCosts()
         assert costs.victim_refresh_ns < costs.counter_access_ns
-        assert costs.counter_access_ns < costs.migration_ns
-        assert costs.swap_ns == pytest.approx(2 * costs.migration_ns)
+        assert costs.counter_access_ns < costs.row_copy_half_ns
+        # The engine charges row copies in halves: a swap is two
+        # migrations, each a row read out and written back.
+        _, migration_halves, _ = MITIGATION_ACCOUNTING[RowMigration]
+        _, swap_halves, _ = MITIGATION_ACCOUNTING[RowSwap]
+        assert swap_halves(None) == 2 * migration_halves(None) == 4
 
 
 class TestEngineBasics:
@@ -167,6 +179,29 @@ class TestDefenseIntegration:
             times[hc] = MemorySystem(config, [make()], defense=defense).run().cores[0].finish_ns
         assert times[64] > times[256] > times[4096]
 
+    @pytest.mark.parametrize("device, defense_epoch_ns, engine_epoch_ns", [
+        ("DDR4-3200", 100_000.0, 100_000.0),
+        # Unset, the engine resets on DDR5's 32 ms refresh window.
+        ("DDR5-4800", None, 32_000_000.0),
+    ])
+    def test_blockhammer_paces_on_the_engine_epoch(
+        self, device, defense_epoch_ns, engine_epoch_ns
+    ):
+        """The engine owns the epoch: BlockHammer sizes its throttle
+        gap from the window the engine resets it on."""
+        config = small_config(
+            timing=device_for(device), defense_epoch_ns=defense_epoch_ns
+        )
+        defense = BlockHammer(64, rows_per_bank=config.rows_per_bank, seed=0)
+        trace = FixedTrace(
+            [TraceStep(bank=0, row=r, column=0, gap_ns=2.0) for r in (7, 9)]
+        )
+        MemorySystem(config, [trace], defense=defense).run()
+        assert defense.stats.throttle_events > 0
+        assert defense.minimum_gap_ns(64) == engine_epoch_ns / (
+            defense.quota_fraction * 64
+        )
+
     def test_rrs_swaps_expensive(self):
         config = small_config(requests_per_core=400)
         make = lambda: FixedTrace(
@@ -185,11 +220,11 @@ ENGINE_CELL_DEFENSES = (None,) + tuple(sorted(DEFENSE_CLASSES))
 
 
 def _engine_cell(device, defense_name):
-    """A cell configured as ``scripts/generations_smoke.py`` builds one.
+    """A cell configured as ``scripts/conformance_smoke.py`` builds one.
 
-    The defense runs at HC_first 64 rather than the smoke's 512: at 512
-    only PARA issues any mitigation in 400 requests per core, at 64
-    every defense issues its own kind.
+    Every defense runs at HC_first 64, where each issues its own kind
+    of mitigation in 400 requests per core; at 512, where the smoke
+    also runs PARA, only PARA does.
     """
     config = SystemConfig(
         cores=2, ranks=1, bank_groups=2, banks_per_group=2,
@@ -197,14 +232,7 @@ def _engine_cell(device, defense_name):
         timing=device_for(device),
         defense_epoch_ns=100_000.0 if defense_name else None,
     )
-    traces = [
-        SyntheticTrace(
-            profile_by_name("ycsb"), total_banks=config.total_banks,
-            rows_per_bank=config.rows_per_bank,
-            columns_per_row=config.columns_per_row, seed=17 + core,
-        )
-        for core in range(config.cores)
-    ]
+    traces = synthetic_traces(["ycsb"] * config.cores, config, 17)
     defense = None
     if defense_name is not None:
         defense = DEFENSE_CLASSES[defense_name](
@@ -298,35 +326,21 @@ ADVERSARIAL_REQUESTS_PER_CORE = 2000
 
 def _adversarial_cells():
     """``{name: MemorySystem}`` for every cell of Fig 13 and
-    attack-manysided, each built as the experiment's task builds it:
-    the same traces, ``HYDRA_RCC_ENTRIES`` and Svärd-S0 thresholds at
-    HC_first 64, at a reduced request count."""
+    attack-manysided at a reduced request count, each defended cell
+    built by the experiments' own :func:`fig13_adversarial.attack_cell`."""
     scale = ADVERSARIAL_SCALE
     config = scale.system_config(
         requests_per_core=ADVERSARIAL_REQUESTS_PER_CORE,
-        defense_epoch_ns=1_000_000.0,
+        defense_epoch_ns=DEFENSE_EPOCH_NS,
     )
-    svard = SvardThresholds(
-        Svard.build(scaled_profile("S0", fig13_adversarial.HC_FIRST, scale))
-    )
-
-    def defense(name, configuration):
-        kwargs = dict(rows_per_bank=config.rows_per_bank, seed=scale.seed)
-        if configuration != NO_SVARD:
-            kwargs["thresholds"] = svard
-        if name == "Hydra":
-            kwargs["rcc_entries"] = fig13_adversarial.HYDRA_RCC_ENTRIES
-        return DEFENSE_CLASSES[name](fig13_adversarial.HC_FIRST, **kwargs)
-
-    configurations = (NO_SVARD, "Svärd-S0")
+    attack_cell = fig13_adversarial.attack_cell
     cells = {}
     for name in fig13_adversarial.Fig13Experiment.DEFENSE_NAMES:
         traces = fig13_adversarial._adversarial_traces
         cells[f"fig13|baseline|{name}"] = MemorySystem(config, traces(name, config))
-        for configuration in configurations:
-            cells[f"fig13|{name}|{configuration}"] = MemorySystem(
-                config, traces(name, config),
-                defense=defense(name, configuration),
+        for configuration in svard_configurations(scale):
+            cells[f"fig13|{name}|{configuration}"] = attack_cell(
+                traces, name, name, configuration, scale, config
             )
     for n_sides in attack_manysided.N_SIDES_SWEEP:
         traces = attack_manysided._attack_traces
@@ -334,10 +348,9 @@ def _adversarial_cells():
             config, traces(n_sides, config)
         )
         for name in attack_manysided.ManySidedExperiment.DEFENSE_NAMES:
-            for configuration in configurations:
-                cells[f"manysided|{name}|{n_sides}|{configuration}"] = MemorySystem(
-                    config, traces(n_sides, config),
-                    defense=defense(name, configuration),
+            for configuration in svard_configurations(scale):
+                cells[f"manysided|{name}|{n_sides}|{configuration}"] = attack_cell(
+                    traces, n_sides, name, configuration, scale, config
                 )
     return cells
 
@@ -400,32 +413,3 @@ class TestMetrics:
         with pytest.raises(ValueError):
             weighted_speedup([0.0], [1.0])
 
-
-class TestCache:
-    def test_hits_after_fill(self):
-        cache = SetAssociativeCache(capacity_bytes=64 * 64, ways=4)
-        assert not cache.access(0)
-        assert cache.access(0)
-
-    def test_lru_eviction(self):
-        cache = SetAssociativeCache(capacity_bytes=64 * 4, ways=4)  # one set
-        for i in range(4):
-            cache.access(i * 64 * 1)  # 4 lines, same set? n_sets=1
-        cache.access(0)  # touch line 0
-        cache.access(5 * 64)  # evicts LRU (line 1)
-        assert cache.access(0)
-        assert not cache.access(1 * 64)
-
-    def test_stats(self):
-        cache = SetAssociativeCache()
-        cache.access(0)
-        cache.access(0)
-        assert cache.stats.accesses == 2
-        assert cache.stats.misses == 1
-        assert cache.stats.hit_rate == pytest.approx(0.5)
-
-    def test_invalid_dimensions(self):
-        with pytest.raises(ValueError):
-            SetAssociativeCache(capacity_bytes=0)
-        with pytest.raises(ValueError):
-            SetAssociativeCache(capacity_bytes=100, ways=3)
