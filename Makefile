@@ -12,8 +12,6 @@
 #                       serial; exercises `runner queue status` live
 #   make report-smoke   two-seed recipe -> self-contained report.html,
 #                       checked for well-formedness + aggregation
-#   make bench-smoke    tier-1 tests + a 2-job orchestrated Fig 12 smoke
-#   make bench          full pytest-benchmark suite (cold caches)
 #   make kernels-smoke  tiny platform characterization and Fig 8 boundary
 #                       search, kernel paths byte-diffed against their
 #                       loop oracles
@@ -29,7 +27,8 @@
 #                       violations) and a byte-diff of DDR4 `runner
 #                       check-timing` against the pre-refactor golden
 #   make examples-smoke every script in examples/ runs to a zero exit
-#   make golden         regenerate tests/golden/*.json snapshots
+#   make golden         regenerate every snapshot pytest pins (tests/golden/,
+#                       the CLI reference in EXPERIMENTS.md)
 #   make clean-cache    drop the on-disk orchestration result cache
 #
 # Distributed sweeps: `make worker` attaches one worker process to the
@@ -43,8 +42,7 @@ export PYTHONPATH := src
 
 .PHONY: test smoke recipes-smoke queue-smoke report-smoke \
         kernels-smoke profile-smoke conformance-smoke \
-        examples-smoke bench-smoke bench golden \
-        worker clean-cache
+        examples-smoke golden worker clean-cache
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -84,22 +82,14 @@ smoke:
 		--format json --out .smoke-results --progress
 	@echo "smoke artifacts in .smoke-results/"
 
-bench-smoke: test
-	$(PYTHON) -m repro.experiments.runner run fig12 \
-		--jobs $(JOBS) --cache-dir .repro_cache/bench-smoke --progress
-
 recipes-smoke:
 	$(PYTHON) scripts/recipes_smoke.py
-
-bench:
-	$(PYTHON) -m pytest benchmarks -q
 
 worker:
 	$(PYTHON) -m repro.experiments.runner worker --poll-interval 0.2
 
 golden:
-	$(PYTHON) -m pytest tests/test_golden.py tests/test_experiment_api.py \
-		tests/test_report.py -q --update-golden
+	$(PYTHON) -m pytest tests -q --update-golden
 
 clean-cache:
 	rm -rf .repro_cache

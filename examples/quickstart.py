@@ -18,7 +18,7 @@ and completed tasks persist in ``.repro_cache/`` (ORCHESTRATION.md):
 
 from repro.bender import TestPlatform
 from repro.core import Svard, VulnerabilityProfile
-from repro.faults import DataPattern, module_by_label
+from repro.faults import module_by_label
 
 ROWS_PER_BANK = 2048
 BANK = 1

@@ -72,10 +72,6 @@ class FeatureCorrelation:
     feature: SpatialFeature
     f1: float
 
-    @property
-    def is_strong(self) -> bool:
-        return self.f1 > STRONG_F1_THRESHOLD
-
 
 def predict_from_feature(
     feature_column: np.ndarray, measured: np.ndarray

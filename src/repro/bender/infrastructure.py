@@ -388,9 +388,6 @@ class TestPlatform:
 
     # ------------------------------------------------------------------
 
-    def elapsed_test_ns(self) -> float:
-        return self.device.clock_ns
-
     def _check_refresh_window(self, duration_ns: float) -> None:
         if not self.enforce_refresh_window:
             return

@@ -8,7 +8,7 @@ Fig 10.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Tuple
 
 import numpy as np
@@ -19,7 +19,6 @@ from repro.characterization.runner import (
 )
 from repro.faults.aging import AgingModel
 from repro.faults.modules import ModuleSpec
-from repro.faults.variation import HC_GRID
 
 
 @dataclass

@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, Tuple
 
-import numpy as np
-
 from repro.characterization.metrics import BoxStats, box_stats, coefficient_of_variation_pct
 from repro.characterization.runner import (
     CharacterizationConfig,

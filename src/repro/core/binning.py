@@ -13,7 +13,6 @@ than 16", hence 4-bit identifiers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 

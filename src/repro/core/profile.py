@@ -16,14 +16,13 @@ Two operations mirror the paper's evaluation methodology (Section 7.1):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
 from repro.characterization.runner import ModuleCharacterization
 from repro.faults.modules import ModuleSpec
-from repro.faults.variation import SpatialVariationField
 
 
 @dataclass(frozen=True)

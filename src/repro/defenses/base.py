@@ -15,7 +15,7 @@ worst case (No Svärd) or per-row values from a built Svärd instance.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Protocol, Sequence, Tuple
 
 from repro.core.svard import Svard

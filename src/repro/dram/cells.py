@@ -9,7 +9,7 @@ written reads back as the bank's background fill byte.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 

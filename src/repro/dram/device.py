@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Protocol, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Protocol, Sequence
 
 import numpy as np
 
-from repro.dram.bank import Bank, BankState, RowClosure, TimingError
+from repro.dram.bank import Bank, BankState, TimingError
 from repro.dram.cells import CellArray
 from repro.dram.commands import Command, CommandKind
 from repro.dram.geometry import DramGeometry

@@ -8,8 +8,8 @@ the address arithmetic shared by both sides.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, List, Sequence
+from dataclasses import dataclass
+from typing import List, Sequence
 
 
 @dataclass(frozen=True, order=True)
@@ -149,12 +149,6 @@ class DramGeometry:
         if self.rows_per_bank == 1:
             return 0.0
         return row / (self.rows_per_bank - 1)
-
-    def iter_rows(self, bank: int, rank: int = 0) -> Iterator[RowAddress]:
-        """Iterate every row address of one bank."""
-        self._check_bank(bank)
-        for row in range(self.rows_per_bank):
-            yield RowAddress(rank=rank, bank=bank, row=row)
 
     def valid_row(self, row: int) -> bool:
         return 0 <= row < self.rows_per_bank

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum, auto
-from typing import Dict, Tuple
+from typing import Tuple
 
 import numpy as np
 

@@ -17,7 +17,7 @@ from repro.core.svard import Svard
 from repro.defenses.base import SvardThresholds, ThresholdProvider
 from repro.dram.geometry import REPRESENTATIVE_BANKS
 from repro.dram.timing import device_for
-from repro.faults.modules import MODULES, ModuleSpec, module_by_label
+from repro.faults.modules import MODULES, module_by_label
 from repro.orchestration import (
     OMIT_IF_NONE,
     OrchestrationContext,

@@ -36,7 +36,7 @@ from repro.experiments.api import (
     TextBlock,
     format_scalar,
 )
-from repro.experiments.svgplot import SvgPlotError, render_plot
+from repro.experiments.svgplot import render_plot
 from repro.orchestration.hashing import stable_hash
 
 __all__ = ["build_report"]

@@ -55,7 +55,6 @@ from repro.experiments.api import (
 from repro.dram.timing import device_for
 from repro.experiments.common import DEFENSE_EPOCH_NS, ExperimentScale
 from repro.experiments.recipes import (
-    Recipe,
     RecipeError,
     all_recipes,
     get_recipe,
@@ -820,7 +819,7 @@ def _check_timing_parser() -> argparse.ArgumentParser:
              "the flag once per core (default: synthetic traces)",
     )
     parser.add_argument(
-        "--suite", default="ycsb", metavar="NAME",
+        "--suite", default=None, metavar="NAME",
         help="synthetic suite profile when no --trace is given "
              "(default: ycsb; see repro.workloads.suites)",
     )
@@ -830,7 +829,7 @@ def _check_timing_parser() -> argparse.ArgumentParser:
              "PARA, RRS; default: none)",
     )
     parser.add_argument(
-        "--hc-first", type=int, default=1024, metavar="N",
+        "--hc-first", type=int, default=None, metavar="N",
         help="HC_first threshold for --defense (default: 1024)",
     )
     parser.add_argument(
@@ -867,7 +866,7 @@ def _check_timing_parser() -> argparse.ArgumentParser:
              "deltas become arrival gaps (default: stamps ignored)",
     )
     parser.add_argument(
-        "--gap-ns", type=float, default=0.0, metavar="NS",
+        "--gap-ns", type=float, default=None, metavar="NS",
         help="with --trace: arrival gap for lines without usable "
              "cycle stamps (default: 0, back-to-back)",
     )
@@ -901,10 +900,17 @@ def _cmd_check_timing(argv) -> int:
         parser.error("--cores must be positive")
     if args.requests_per_core < 1:
         parser.error("--requests-per-core must be positive")
-    if args.hc_first < 1:
+    if args.hc_first is not None and args.hc_first < 1:
         parser.error("--hc-first must be positive")
+    if args.hc_first is not None and args.defense is None:
+        parser.error("--hc-first requires --defense")
     if args.clock_ns is not None and args.trace is None:
         parser.error("--clock-ns requires --trace")
+    if args.gap_ns is not None and args.trace is None:
+        parser.error("--gap-ns requires --trace")
+    if args.suite is not None and args.trace is not None:
+        parser.error("--suite applies only without --trace")
+    suite = "ycsb" if args.suite is None else args.suite
     try:
         timing = device_for(
             args.device if args.device is not None else args.speed
@@ -936,7 +942,7 @@ def _cmd_check_timing(argv) -> int:
                 rows_per_bank=config.rows_per_bank,
                 columns_per_row=config.columns_per_row,
                 clock_ns=args.clock_ns,
-                default_gap_ns=args.gap_ns,
+                default_gap_ns=0.0 if args.gap_ns is None else args.gap_ns,
             )
         except (OSError, ValueError) as error:
             print(f"error: {error}", file=sys.stderr)
@@ -944,15 +950,16 @@ def _cmd_check_timing(argv) -> int:
     else:
         try:
             traces = synthetic_traces(
-                [args.suite] * config.cores, config, args.seed * 1000
+                [suite] * config.cores, config, args.seed * 1000
             )
         except KeyError as error:
             parser.error(str(error.args[0]))
 
     defense = None
     if defense_name is not None:
+        hc_first = 1024 if args.hc_first is None else args.hc_first
         defense = DEFENSE_CLASSES[defense_name](
-            args.hc_first, rows_per_bank=config.rows_per_bank, seed=args.seed
+            hc_first, rows_per_bank=config.rows_per_bank, seed=args.seed
         )
 
     system = MemorySystem(config, traces, defense=defense, seed=args.seed)
@@ -965,7 +972,7 @@ def _cmd_check_timing(argv) -> int:
     workload = (
         f"trace files: {', '.join(args.trace)}"
         if args.trace is not None
-        else f"synthetic suite {args.suite!r}"
+        else f"synthetic suite {suite!r}"
     )
     if args.json:
         document = {
@@ -1359,6 +1366,21 @@ queue/worker model, and the cache.
 """
 
 
+#: Every subcommand's parser builder, in ``--help-all`` order.
+PARSERS = (
+    _list_parser,
+    _run_parser,
+    _recipe_list_parser,
+    _recipe_show_parser,
+    _recipe_run_parser,
+    _worker_parser,
+    _queue_status_parser,
+    _profile_parser,
+    _report_parser,
+    _check_timing_parser,
+)
+
+
 def help_all_text() -> str:
     """Every subcommand's ``--help``, as one deterministic document.
 
@@ -1370,25 +1392,13 @@ def help_all_text() -> str:
     """
     import os
 
-    parsers = (
-        _list_parser(),
-        _run_parser(),
-        _recipe_list_parser(),
-        _recipe_show_parser(),
-        _recipe_run_parser(),
-        _worker_parser(),
-        _queue_status_parser(),
-        _profile_parser(),
-        _report_parser(),
-        _check_timing_parser(),
-    )
     saved = os.environ.get("COLUMNS")
     os.environ["COLUMNS"] = "78"
     try:
         sections = [_TOP_LEVEL_HELP]
-        for parser in parsers:
+        for build in PARSERS:
             sections.append("=" * 72 + "\n")
-            sections.append(parser.format_help())
+            sections.append(build().format_help())
     finally:
         if saved is None:
             os.environ.pop("COLUMNS", None)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from html import escape
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.experiments.api import (
     PlotSpec,

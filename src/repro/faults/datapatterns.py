@@ -8,7 +8,6 @@ yields the largest BER at a hammer count of 128K.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Tuple
 

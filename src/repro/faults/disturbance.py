@@ -23,14 +23,14 @@ Model summary (calibration rationale in DESIGN.md):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.faults.datapatterns import DataPattern, WCDP_CANDIDATES
 from repro.faults.modules import ModuleSpec
-from repro.faults.variation import HC_128K, HC_GRID, SpatialVariationField
+from repro.faults.variation import HC_128K, SpatialVariationField
 
 #: Reference aggressor-on time: the paper's minimum tRAS setting.
 T_AGG_ON_MIN_NS = 36.0
@@ -161,9 +161,6 @@ class DisturbanceModel:
         """Ground-truth per-row HC_first (WCDP, minimal tAggOn)."""
         return self.field(bank).hc_first
 
-    def worst_case_hc_first(self, bank: int) -> float:
-        return float(self.field(bank).hc_first.min())
-
     def wcdp(self, bank: int, row: int) -> DataPattern:
         """The row's worst-case data pattern."""
         index = int(self.field(bank).wcdp_index[row])
@@ -270,22 +267,6 @@ class DisturbanceModel:
         affinity = self._affinity_vector(field_, pattern)
         h_eq = hammer_count * m * affinity
         return self._ber_curve(field_, h_eq, affinity)
-
-    def analytic_measured_hc_first(
-        self,
-        bank: int,
-        *,
-        t_agg_on_ns: float = T_AGG_ON_MIN_NS,
-        grid: Sequence[int] = HC_GRID,
-    ) -> np.ndarray:
-        """Per-row measured HC_first on the paper's test grid."""
-        field_ = self.field(bank)
-        m = rowpress_multiplier(t_agg_on_ns, self.spec.rowpress_exponent)
-        effective_threshold = field_.hc_first / m
-        grid_arr = np.asarray(sorted(grid), dtype=np.float64)
-        idx = np.searchsorted(grid_arr, effective_threshold, side="left")
-        idx = np.clip(idx, 0, len(grid_arr) - 1)
-        return grid_arr[idx].astype(np.int64)
 
     # ------------------------------------------------------------------
     # Internals

@@ -13,7 +13,7 @@ address bits (Takeaway 6); the remaining eleven modules have none.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, Optional, Tuple
 

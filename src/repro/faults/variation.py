@@ -21,8 +21,8 @@ The construction follows the structure the paper observes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 from scipy.special import betaincinv, ndtr

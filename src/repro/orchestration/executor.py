@@ -45,10 +45,6 @@ class OrchestrationStats:
     hits: int = 0
     executed: int = 0
 
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.submitted if self.submitted else 0.0
-
 
 class OrchestrationContext:
     """Execution policy shared by all experiments in one run."""
@@ -149,9 +145,6 @@ class OrchestrationContext:
             done += 1
             self._report(done, total, key)
         return results
-
-    def run_one(self, task: Task, *, fingerprint: Any = None) -> Any:
-        return self.run([task], fingerprint=fingerprint)[task.key]
 
     # ------------------------------------------------------------------
 

@@ -17,7 +17,7 @@ import dataclasses
 import enum
 import hashlib
 from pathlib import Path
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
 TaskKey = Tuple[object, ...]
 

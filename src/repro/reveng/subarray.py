@@ -14,12 +14,12 @@ Two key insights from the paper:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.analysis.clustering import best_k, kmeans_1d, silhouette_score_1d, sweep_k
+from repro.analysis.clustering import best_k, kmeans_1d, sweep_k
 from repro.bender.infrastructure import TestPlatform
 
 

@@ -69,12 +69,6 @@ class CoreResult:
     finish_ns: float
     total_latency_ns: float
 
-    @property
-    def average_latency_ns(self) -> float:
-        if self.completed_requests == 0:
-            return 0.0
-        return self.total_latency_ns / self.completed_requests
-
 
 @dataclass
 class SimulationResult:

@@ -2,8 +2,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.analysis.clustering import best_k, kmeans_1d, silhouette_score_1d, sweep_k
 from repro.analysis.correlation import (

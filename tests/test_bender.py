@@ -1,6 +1,5 @@
 """Tests for the testing-platform simulator (DRAM Bender analogue)."""
 
-import numpy as np
 import pytest
 
 from repro.bender.infrastructure import RefreshWindowExceeded, TestPlatform

@@ -16,7 +16,6 @@ from repro.characterization.runner import (
     CharacterizationConfig,
     CharacterizationRunner,
 )
-from repro.faults.datapatterns import WCDP_CANDIDATES
 from repro.faults.modules import module_by_label
 from repro.faults.variation import HC_GRID
 

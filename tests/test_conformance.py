@@ -21,7 +21,6 @@ import pytest
 from repro.defenses import DEFENSE_CLASSES
 from repro.dram.commands import CommandKind, TimedCommand, act, pre, rd, ref, wr
 from repro.dram.timing import (
-    DDR4_2666,
     DDR4_3200,
     DDR5_4800,
     LPDDR4_3200,

@@ -17,7 +17,7 @@ from repro.core.area_model import (
 )
 from repro.core.binning import MAX_BINS, VulnerabilityBins
 from repro.core.profile import VulnerabilityProfile
-from repro.core.svard import InDramStore, McTableStore, Svard
+from repro.core.svard import InDramStore, Svard
 from repro.faults.modules import module_by_label
 
 

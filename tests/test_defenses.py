@@ -9,7 +9,6 @@ from repro.defenses import DEFENSE_CLASSES
 from repro.defenses.aqua import Aqua
 from repro.defenses.base import (
     CounterTraffic,
-    GlobalThreshold,
     RowMigration,
     RowSwap,
     SvardThresholds,

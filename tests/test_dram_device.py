@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.dram.cells import count_mismatched_bits
-from repro.dram.commands import act, pre, rd, ref, wait, wr
+from repro.dram.commands import act, pre, rd, ref, wait
 from repro.dram.device import DramDevice, TimingViolation
 from repro.dram.geometry import DramGeometry
 from repro.dram.mapping import RowScrambler, ScramblingScheme

@@ -15,7 +15,6 @@ from repro.dram.timing import (
     REFRESH_ALL_BANK,
     REFRESH_PER_BANK,
     REFRESH_SAME_BANK,
-    TimingParameters,
     all_device_names,
     device_for,
 )

@@ -21,29 +21,18 @@ from pathlib import Path
 import pytest
 
 from repro.experiments import (
-    ablation_bins,
-    attack_manysided,
-    fig3_ber_distribution,
-    fig4_ber_location,
-    fig5_hcfirst_distribution,
-    fig6_hcfirst_location,
-    fig7_rowpress,
+    api,
     fig8_subarray_silhouette,
-    fig9_spatial_features,
     fig10_aging,
-    fig12_performance,
-    sec64_hardware_cost,
-    table3_features,
-    table5_modules,
+    render,
+    runner,
 )
-from repro.experiments import api, render, runner
 from repro.experiments.api import (
     Experiment,
     PlotSpec,
     ResultSet,
     ResultTable,
     TableBlock,
-    TextBlock,
     all_experiments,
 )
 from repro.experiments.common import (
@@ -54,72 +43,23 @@ from repro.experiments.common import (
 )
 from repro.faults.modules import MODULES, Manufacturer, ModuleSpec
 from repro.orchestration import OrchestrationContext, ResultCache
+from tests.conftest import RUNS
 
 TEXT_GOLDEN_DIR = Path(__file__).parent / "golden" / "text"
 
-# ----------------------------------------------------------------------
-# Parity scales: small enough for the test suite, matching
-# tests/golden/text/*.txt (captured at the pre-redesign commit).
-# ----------------------------------------------------------------------
-
-ONE_MODULE = ExperimentScale(
-    rows_per_bank=1024, banks=(1, 4), modules=("H1", "M1", "S0"), seed=1
-)
-FEATURE_SCALE = ExperimentScale(rows_per_bank=2048, banks=(1, 4), seed=1)
-FIG8_SCALE = ExperimentScale(
-    rows_per_bank=512, banks=(0,), modules=("H1", "M1", "S0"), seed=2
-)
-FIG10_SCALE = ExperimentScale(rows_per_bank=2048, banks=(1,), seed=0)
-PERF_SCALE = ExperimentScale(
-    rows_per_bank=1024,
-    banks=(1, 4),
-    n_mixes=1,
-    requests_per_core=1200,
-    hc_first_values=(1024, 64),
-    svard_profiles=("S0",),
-    seed=3,
-)
-MANYSIDED_SCALE = ExperimentScale(
-    rows_per_bank=1024, banks=(1,), svard_profiles=("S0",),
-    requests_per_core=3000, seed=3,
-)
-ABLATION_SCALE = ExperimentScale(
-    rows_per_bank=1024, banks=(1, 4), requests_per_core=1200, seed=3
-)
-
-#: name -> zero-argument callable returning the rich result at the
-#: parity scale, or the name of the session fixture holding it.
-PARITY_RUNS = {
-    "fig3": lambda: fig3_ber_distribution.run(ONE_MODULE),
-    "fig4": lambda: fig4_ber_location.run(ONE_MODULE),
-    "fig5": lambda: fig5_hcfirst_distribution.run(ONE_MODULE),
-    "fig6": lambda: fig6_hcfirst_location.run(ONE_MODULE),
-    "fig7": lambda: fig7_rowpress.run(ONE_MODULE),
-    "fig8": lambda: fig8_subarray_silhouette.run(FIG8_SCALE),
-    "fig9": lambda: fig9_spatial_features.run(FEATURE_SCALE),
-    "fig10": lambda: fig10_aging.run(FIG10_SCALE),
-    "fig12": lambda: fig12_performance.run(
-        PERF_SCALE, defenses=("PARA", "RRS")
-    ),
-    "fig13": "fig13_parity_result",  # at tests.conftest.FIG13_SCALE
-    "attack-manysided": lambda: attack_manysided.run(MANYSIDED_SCALE),
-    "table3": lambda: table3_features.run(FEATURE_SCALE),
-    "table5": lambda: table5_modules.run(ONE_MODULE),
-    "sec64": lambda: sec64_hardware_cost.run(),
-    "ablation-bins": lambda: ablation_bins.run(
-        ABLATION_SCALE, defense="PARA", hc_first=64, profile_label="S0",
-        bin_sweep=(1, 4, 16),
-    ),
-}
+#: Every registered experiment; each has a parity run of the same name
+#: in ``tests/conftest.py``'s ``RUNS``, at the scale its
+#: ``tests/golden/text/`` snapshot was captured at.
+PARITY_RUNS = tuple(all_experiments())
 
 
 @pytest.fixture(scope="module")
-def parity_result_sets(request):
-    """Run every experiment once at its parity scale; cache per module."""
+def parity_result_sets(experiment_run):
+    """Every experiment's parity result and its ResultSet."""
     results = {}
-    for name, run in PARITY_RUNS.items():
-        result = request.getfixturevalue(run) if isinstance(run, str) else run()
-        results[name] = (result, all_experiments()[name].result_set(result))
+    for name, experiment in all_experiments().items():
+        result = experiment_run(name)
+        results[name] = (result, experiment.result_set(result))
     return results
 
 
@@ -143,7 +83,8 @@ class TestRegistry:
             )
 
     def test_all_fifteen_present(self):
-        assert sorted(all_experiments()) == sorted(PARITY_RUNS)
+        assert len(PARITY_RUNS) == 15
+        assert set(PARITY_RUNS) <= set(RUNS)
 
     def test_metadata_complete(self):
         for name, experiment in all_experiments().items():
@@ -422,6 +363,15 @@ class TestRenderers:
 # ----------------------------------------------------------------------
 
 
+RECIPE_USAGE = (
+    "usage: python -m repro.experiments.runner recipe {list,show,run} ..."
+)
+QUEUE_USAGE = (
+    "usage: python -m repro.experiments.runner queue status [CACHE_DIR] "
+    "[--queue-dir DIR] [--json] [--stale-after S] [--profile]"
+)
+
+
 class TestRunnerCli:
     def test_list_enumerates_all(self, capsys):
         assert runner.main(["list"]) == 0
@@ -549,3 +499,33 @@ class TestRunnerCli:
     def test_invalid_rows_per_bank_fails_cleanly(self, capsys):
         assert runner.main(["run", "sec64", "--rows-per-bank", "8"]) == 1
         assert "invalid scale" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--gap-ns", "5"], "--gap-ns requires --trace"),
+        (["--trace", "{trace}", "--suite", "nonexistent-suite"],
+         "--suite applies only without --trace"),
+        (["--hc-first", "64"], "--hc-first requires --defense"),
+    ], ids=["gap-ns-without-trace", "suite-with-trace",
+            "hc-first-without-defense"])
+    def test_check_timing_rejects_flags_that_would_do_nothing(
+        self, argv, message, tmp_path, capsys
+    ):
+        trace = tmp_path / "trace.txt"
+        trace.write_text("0x1000 R\n0x2000 W\n")
+        argv = [arg.format(trace=trace) for arg in argv]
+        with pytest.raises(SystemExit) as exit_info:
+            runner.main(["check-timing", *argv])
+        assert exit_info.value.code == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, usage", [
+        (["recipe"], RECIPE_USAGE),
+        (["recipe", "bogus"], RECIPE_USAGE),
+        (["queue"], QUEUE_USAGE),
+        (["queue", "bogus"], QUEUE_USAGE),
+    ], ids=["recipe", "recipe-bogus", "queue", "queue-bogus"])
+    def test_subcommand_without_a_known_verb_prints_usage(
+        self, argv, usage, capsys
+    ):
+        assert runner.main(argv) == 2
+        assert capsys.readouterr().err == usage + "\n"

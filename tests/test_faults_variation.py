@@ -22,12 +22,7 @@ from repro.faults.modules import (
     module_by_label,
     modules_by_manufacturer,
 )
-from repro.faults.variation import (
-    HC_128K,
-    HC_GRID,
-    SpatialVariationField,
-    VariationFieldParams,
-)
+from repro.faults.variation import HC_GRID, VariationFieldParams
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 

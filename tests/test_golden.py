@@ -1,11 +1,11 @@
 """Golden regression tests for the key scalar experiment outputs.
 
-Each test regenerates a small fixed-scale experiment and compares its
-headline numbers against a snapshot in ``tests/golden/*.json``.  The
-snapshots pin the reproduction: an accidental change to the fault
-model, the simulator, or the seeding shows up here as a concrete
-numeric diff even when the paper's qualitative observations still
-hold.
+Each test reads an experiment's parity run (``tests/conftest.py``'s
+``RUNS``) and compares its headline numbers against a snapshot in
+``tests/golden/*.json``.  The snapshots pin the reproduction: an
+accidental change to the fault model, the simulator, or the seeding
+shows up here as a concrete numeric diff even when the paper's
+qualitative observations still hold.
 
 Regenerating (after an *intentional* behavior change)::
 
@@ -19,32 +19,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments import (
-    fig3_ber_distribution,
-    fig5_hcfirst_distribution,
-    fig12_performance,
-    table3_features,
-    table5_modules,
-)
-from repro.experiments.common import ExperimentScale
+from repro.experiments import fig3_ber_distribution, fig5_hcfirst_distribution
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
-
-#: Matches TestFig12's scale so in-process caches stay warm.
-FIG12_SCALE = ExperimentScale(
-    rows_per_bank=1024,
-    banks=(1, 4),
-    n_mixes=1,
-    requests_per_core=1200,
-    hc_first_values=(1024, 64),
-    svard_profiles=("S0",),
-    seed=3,
-)
-#: Matches test_experiments' FEATURE_SCALE / ONE_MODULE for the same reason.
-FEATURE_SCALE = ExperimentScale(rows_per_bank=2048, banks=(1, 4), seed=1)
-MODULE_SCALE = ExperimentScale(
-    rows_per_bank=1024, banks=(1, 4), modules=("H1", "M1", "S0"), seed=1
-)
 
 #: Relative tolerance when comparing floats against snapshots: tight
 #: enough to catch real regressions, loose enough to tolerate
@@ -98,8 +75,8 @@ def golden(request):
     return check
 
 
-def test_fig12_metrics(golden):
-    result = fig12_performance.run(FIG12_SCALE, defenses=("PARA", "RRS"))
+def test_fig12_metrics(golden, experiment_run):
+    result = experiment_run("fig12")
     golden("fig12_small", {
         "weighted_speedup": {
             f"{defense}|{config}|{hc}": metrics.weighted_speedup
@@ -112,13 +89,13 @@ def test_fig12_metrics(golden):
         "mean_improvement": {
             f"{defense}|{hc}": result.mean_improvement(defense, hc)
             for defense in ("PARA", "RRS")
-            for hc in FIG12_SCALE.hc_first_values
+            for hc in result.hc_values
         },
     })
 
 
-def test_table3_feature_ranks(golden):
-    result = table3_features.run(FEATURE_SCALE)
+def test_table3_feature_ranks(golden, experiment_run):
+    result = experiment_run("table3")
     golden("table3_features", {
         label: {
             "features": [c.feature.short_name for c in features],
@@ -130,7 +107,7 @@ def test_table3_feature_ranks(golden):
     })
 
 
-def test_fig3_resultset(golden):
+def test_fig3_resultset(golden, experiment_run):
     """Characterization-side snapshot via the ResultSet JSON artifact.
 
     Pins the full structured output (typed tables, scalars, and the
@@ -138,23 +115,23 @@ def test_fig3_resultset(golden):
     any drift in the fault model or the BER statistics shows up as a
     concrete JSON diff.
     """
-    result = fig3_ber_distribution.run(MODULE_SCALE)
+    result = experiment_run("fig3")
     golden(
         "fig3_resultset", fig3_ber_distribution.result_set(result).to_json_dict()
     )
 
 
-def test_fig5_resultset(golden):
+def test_fig5_resultset(golden, experiment_run):
     """Ditto for the HC_first distribution (Fig 5)."""
-    result = fig5_hcfirst_distribution.run(MODULE_SCALE)
+    result = experiment_run("fig5")
     golden(
         "fig5_resultset",
         fig5_hcfirst_distribution.result_set(result).to_json_dict(),
     )
 
 
-def test_table5_rows(golden):
-    result = table5_modules.run(MODULE_SCALE)
+def test_table5_rows(golden, experiment_run):
+    result = experiment_run("table5")
     golden("table5_small", {
         label: {
             "vendor": row.vendor,

@@ -8,8 +8,6 @@ versions, or corrupted files.
 """
 
 import dataclasses
-import os
-import pickle
 import shutil
 
 import pytest

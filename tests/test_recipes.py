@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-from repro.experiments.common import ExperimentScale
 from repro.experiments.recipes import (
     DEFENSE_GRID_GENERATIONS,
     FIG7_TAGGON_SWEEP,

@@ -355,12 +355,7 @@ class TestHelpAll:
             assert fragment in out, fragment
 
     def test_every_flag_has_help_text(self):
-        for build in (
-            runner._list_parser, runner._run_parser,
-            runner._recipe_list_parser, runner._recipe_show_parser,
-            runner._recipe_run_parser, runner._worker_parser,
-            runner._report_parser,
-        ):
+        for build in runner.PARSERS:
             parser = build()
             for action in parser._actions:
                 assert action.help, (
