@@ -12,9 +12,10 @@
 #                       serial; exercises `runner queue status` live
 #   make report-smoke   two-seed recipe -> self-contained report.html,
 #                       checked for well-formedness + aggregation
-#   make kernels-smoke  tiny platform characterization and Fig 8 boundary
-#                       search, kernel paths byte-diffed against their
-#                       loop oracles
+#   make kernels-smoke  tiny platform and analytic characterization, Fig 9
+#                       feature F1 and Fig 8 boundary search, kernel
+#                       paths diffed against their loop oracles (exit 1
+#                       on any mismatch)
 #   make profile-smoke  tiny sweep -> `runner profile`: every per-task
 #                       profiling stamp complete and non-negative
 #   make conformance-smoke

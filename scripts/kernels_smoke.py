@@ -6,17 +6,35 @@ On one tiny 128-row XOR_FOLD module (32-row subarrays), runs
 * one platform-mode bank characterization through the batched kernel
   path and through the retained per-row loop oracle, then byte-diffs
   every field of the two :class:`BankProfile` objects;
+* one analytic-mode bank characterization through the one-call-per-bank
+  curve kernel and through the retained per-curve oracle, byte-diffed
+  the same way, and each of that bank's BER curves (six patterns at
+  128K, then one per hammer count of the grid) byte-diffed against its
+  per-call oracle;
+* Fig 9's feature scoring through the count kernel
+  (``feature_macro_f1``) and through the per-feature loop
+  (``predict_from_feature`` + ``f1_macro``), compared with ``==``.
+  The targets are the weak/strong splits of that analytic profile's
+  HC_first and of its BER at each hammer count (the tiny module's
+  HC_first piles up at its minimum; the BER splits vary), each over
+  all 128 rows and over the first 127.  A median split of an odd row
+  count is unbalanced by one row, so a tie at one feature value is
+  not mirrored at the other and the tie rule shows in the score;
 * Fig 8's subarray boundary search through the batched probe kernel
   and through the per-row loop oracle, then diffs the two boundary
   lists.
 
+Any mismatch is listed and the script exits 1.
+
 This is the cheap ``make test``-time guarantee that the vectorized
-measurement paths cannot drift from the command-faithful loops without
-CI noticing; the full cross-product lives in ``tests/test_kernels.py``.
+measurement and scoring paths cannot drift from their oracles without
+CI noticing; the full cross-product lives in ``tests/test_kernels.py``
+and ``tests/test_analysis.py``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -25,8 +43,17 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
+from repro.analysis.correlation import (  # noqa: E402
+    binarize_measured,
+    f1_macro,
+    feature_macro_f1,
+    predict_from_feature,
+)
+from repro.analysis.features import extract_features  # noqa: E402
 from repro.bender.infrastructure import TestPlatform  # noqa: E402
 from repro.characterization.reference import (  # noqa: E402
+    analytic_ber_reference,
+    characterize_bank_analytic_loop,
     characterize_bank_loop,
     find_boundary_candidates_loop,
 )
@@ -35,7 +62,9 @@ from repro.characterization.runner import (  # noqa: E402
     CharacterizationRunner,
 )
 from repro.dram.mapping import ScramblingScheme  # noqa: E402
+from repro.faults.datapatterns import DATA_PATTERNS  # noqa: E402
 from repro.faults.modules import Manufacturer, ModuleSpec  # noqa: E402
+from repro.faults.variation import HC_128K  # noqa: E402
 from repro.reveng.subarray import SubarrayReverseEngineer  # noqa: E402
 
 SPEC = ModuleSpec(
@@ -65,6 +94,12 @@ CONFIG = CharacterizationConfig(
     iterations=2,
     mode="platform",
     seed=5,
+)
+
+
+#: The same module and grid in analytic mode, at a RowPress on-time.
+ANALYTIC_CONFIG = dataclasses.replace(
+    CONFIG, mode="analytic", t_agg_on_ns=50.0
 )
 
 
@@ -109,6 +144,59 @@ def main() -> int:
         CharacterizationRunner(SPEC, CONFIG), 0
     )
     problems = diff_profiles(kernel, loop)
+
+    runner = CharacterizationRunner(SPEC, ANALYTIC_CONFIG)
+    analytic = runner.characterize_bank(0)
+    problems += [
+        f"analytic {problem}"
+        for problem in diff_profiles(
+            analytic, characterize_bank_analytic_loop(runner, 0)
+        )
+    ]
+
+    points = [(HC_128K, pattern) for pattern in DATA_PATTERNS] + [
+        (hc, None) for hc in ANALYTIC_CONFIG.hc_grid
+    ]
+    curves = runner.model.analytic_ber_curves(
+        0, points, t_agg_on_ns=ANALYTIC_CONFIG.t_agg_on_ns
+    )
+    for (hc, pattern), curve in zip(points, curves):
+        reference = analytic_ber_reference(
+            runner.model, 0, hc,
+            t_agg_on_ns=ANALYTIC_CONFIG.t_agg_on_ns, pattern=pattern,
+        )
+        if curve.tobytes() != reference.tobytes():
+            problems.append(f"BER curve at HC {hc}, pattern {pattern}")
+
+    _, matrix, _ = extract_features(
+        SPEC.rows_per_bank, SPEC.subarray_rows, ANALYTIC_CONFIG.banks
+    )
+    targets = {"HC_first": analytic.measured_hc_first}
+    targets.update(
+        (f"BER@{hc}", ber) for hc, ber in sorted(analytic.ber_by_hc.items())
+    )
+    scored = 0
+    for name, values in targets.items():
+        for rows in (len(values), len(values) - 1):
+            target = binarize_measured(values[:rows])
+            if len(np.unique(target)) < 2:
+                problems.append(f"feature F1 vs {name}: no weak/strong split")
+                continue
+            features = matrix[:rows]
+            f1_kernel = feature_macro_f1(features, target).tolist()
+            f1_loop = [
+                f1_macro(
+                    target, predict_from_feature(features[:, column], target)
+                )
+                for column in range(features.shape[1])
+            ]
+            if f1_kernel != f1_loop:
+                problems.append(
+                    f"feature F1 vs {name} over {rows} rows: "
+                    f"kernel={f1_kernel!r} loop={f1_loop!r}"
+                )
+            scored += 1
+
     kernel_boundaries = boundary_search(
         SubarrayReverseEngineer.find_boundary_candidates
     )
@@ -123,8 +211,13 @@ def main() -> int:
             print(f"  MISMATCH {problem}")
         return 1
     print(
-        f"  profiles bit-identical ({kernel.rows} rows, "
-        f"{len(kernel.ber_by_hc)} HC points, {CONFIG.iterations} iterations)"
+        f"  platform and analytic profiles bit-identical ({kernel.rows} "
+        f"rows, {len(kernel.ber_by_hc)} HC points, {CONFIG.iterations} "
+        f"iterations), {len(curves)} analytic BER curves identical"
+    )
+    print(
+        f"  feature F1 identical: {matrix.shape[1]} features x "
+        f"{scored} targets"
     )
     print(f"  boundary candidates identical: {kernel_boundaries}")
     return 0

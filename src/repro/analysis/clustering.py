@@ -52,6 +52,42 @@ def kmeans_1d(
     return labels, centroids
 
 
+def _distance_matrix(data: np.ndarray) -> np.ndarray:
+    """The n x n matrix of ``|x_i - x_j|``."""
+    # In place: a second n x n temporary costs more than the arithmetic.
+    distance = data[:, None] - data[None, :]
+    np.abs(distance, out=distance)
+    return distance
+
+
+def _silhouette(distance: np.ndarray, lab: np.ndarray) -> float:
+    """Mean silhouette coefficient from the points' distance matrix.
+
+    One pass per cluster, not per point; ``distance`` is only read.
+    """
+    n = len(lab)
+    own_sum = np.zeros(n)
+    n_own = np.zeros(n, dtype=np.int64)
+    b = np.full(n, np.inf)
+    for c in np.unique(lab):
+        mask = lab == c
+        # ``np.compress`` keeps the members C-contiguous, so each row's
+        # sum is the same pairwise sum as over that row's 1-D slice.
+        sums = np.compress(mask, distance, axis=1).sum(axis=1)
+        count = mask.sum()
+        own_sum[mask] = sums[mask]
+        n_own[mask] = count
+        b[~mask] = np.minimum(b[~mask], sums[~mask] / count)
+    scores = np.zeros(n)
+    scored = n_own > 1
+    a = own_sum[scored] / (n_own[scored] - 1)
+    b = b[scored]
+    denominator = np.maximum(a, b)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scores[scored] = np.where(denominator == 0, 0.0, (b - a) / denominator)
+    return float(scores.mean())
+
+
 def silhouette_score_1d(
     values: np.ndarray,
     labels: np.ndarray,
@@ -82,31 +118,7 @@ def silhouette_score_1d(
             extras = [np.where(lab == c)[0][0] for c in missing]
             index = np.concatenate([index, extras])
         data, lab = data[index], lab[index]
-
-    # In place: a second n x n temporary costs more than the arithmetic.
-    distance = data[:, None] - data[None, :]
-    np.abs(distance, out=distance)
-    n = len(data)
-    own_sum = np.zeros(n)
-    n_own = np.zeros(n, dtype=np.int64)
-    b = np.full(n, np.inf)
-    for c in np.unique(lab):
-        mask = lab == c
-        # ``np.compress`` keeps the members C-contiguous, so each row's
-        # sum is the same pairwise sum as over that row's 1-D slice.
-        sums = np.compress(mask, distance, axis=1).sum(axis=1)
-        count = mask.sum()
-        own_sum[mask] = sums[mask]
-        n_own[mask] = count
-        b[~mask] = np.minimum(b[~mask], sums[~mask] / count)
-    scores = np.zeros(n)
-    scored = n_own > 1
-    a = own_sum[scored] / (n_own[scored] - 1)
-    b = b[scored]
-    denominator = np.maximum(a, b)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scores[scored] = np.where(denominator == 0, 0.0, (b - a) / denominator)
-    return float(scores.mean())
+    return _silhouette(_distance_matrix(data), lab)
 
 
 def sweep_k(
@@ -116,17 +128,31 @@ def sweep_k(
     max_points: int = 2000,
     seed: int = 0,
 ) -> Dict[int, float]:
-    """Silhouette score per candidate k (the Fig 8 sweep)."""
+    """Silhouette score per candidate k (the Fig 8 sweep).
+
+    Each k scores :func:`silhouette_score_1d` of its k-means labels.
+    Up to ``max_points`` points, only the labels change between k, so
+    the distance matrix is built once for the whole sweep; a larger
+    input is subsampled per k, since the subsample depends on the
+    labels.
+    """
+    data = np.asarray(values, dtype=np.float64)
+    distance = None
     results: Dict[int, float] = {}
     for k in k_values:
-        labels, _ = kmeans_1d(values, k)
+        labels, _ = kmeans_1d(data, k)
         populated = len(np.unique(labels))
         if populated < 2:
             results[k] = float("-inf")
             continue
-        score = silhouette_score_1d(
-            values, labels, max_points=max_points, seed=seed
-        )
+        if len(data) > max_points:
+            score = silhouette_score_1d(
+                data, labels, max_points=max_points, seed=seed
+            )
+        else:
+            if distance is None:
+                distance = _distance_matrix(data)
+            score = _silhouette(distance, labels)
         # Asking for more clusters than the data supports leaves some
         # empty; penalize so the sweep decreases past the true count
         # (the Fig 8 shape).

@@ -1,11 +1,16 @@
-"""Loop-reference oracles for the batched platform kernels.
+"""Loop-reference oracles for the batched measurement kernels.
 
-This module preserves two original per-row loops:
+This module preserves three original paths:
 
 * the Algorithm 1 loop: one
   :meth:`repro.bender.TestPlatform.measure_ber` call per (row, pattern,
   hammer count, iteration), which the vectorized
   :meth:`CharacterizationRunner._characterize_bank_platform` must match;
+* the analytic bank sweep: one closed-form BER call per curve (six
+  patterns at 128K, then each hammer count), every term recomputed per
+  call and the WCDP picked row by row, which the one-call-per-bank
+  :meth:`CharacterizationRunner._characterize_bank_analytic` (over
+  :meth:`DisturbanceModel.analytic_ber_curves`) must match;
 * Fig 8's subarray boundary search: one
   :meth:`repro.bender.TestPlatform.single_sided_disturbs` call per row
   side, which the batched
@@ -25,8 +30,19 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.characterization.runner import BankProfile, CharacterizationRunner
-from repro.faults.datapatterns import DATA_PATTERNS, WCDP_CANDIDATES
+from repro.characterization.runner import (
+    ITERATION_BER_SIGMA,
+    BankProfile,
+    CharacterizationRunner,
+)
+from repro.faults.datapatterns import DATA_PATTERNS, WCDP_CANDIDATES, DataPattern
+from repro.faults.disturbance import (
+    BER_GROWTH_EXPONENT,
+    BER_OVERSHOOT_CAP,
+    DisturbanceModel,
+    rowpress_multiplier,
+)
+from repro.faults.variation import HC_128K
 from repro.reveng.subarray import SubarrayReverseEngineer
 
 
@@ -87,6 +103,104 @@ def characterize_bank_loop(
         ber_by_hc=ber_by_hc,
         row_indices=np.asarray(row_list, dtype=np.int64),
         bank_rows=config.rows_per_bank,
+    )
+
+
+def analytic_ber_reference(
+    model: DisturbanceModel,
+    bank: int,
+    hammer_count: float,
+    *,
+    t_agg_on_ns: float,
+    pattern: Optional[DataPattern],
+) -> np.ndarray:
+    """One closed-form BER curve, every term computed for this call.
+
+    The per-call form of :meth:`DisturbanceModel.analytic_ber_curves`:
+    the rowpress multiplier, ``log`` of HC_first, the guarded
+    denominator and the ``h_eq >= HC_first`` mask are all recomputed
+    here, once per use.
+    """
+    field_ = model.field(bank)
+    m = rowpress_multiplier(t_agg_on_ns, model.spec.rowpress_exponent)
+    affinity = model._affinity_vector(field_, pattern)
+    h_eq = hammer_count * m * affinity
+    hcf = field_.hc_first
+    h_eq = np.broadcast_to(np.asarray(h_eq, dtype=np.float64), hcf.shape)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        denom = np.log(HC_128K) - np.log(hcf)
+        progress = (np.log(h_eq) - np.log(hcf)) / np.where(denom > 0, denom, np.inf)
+    progress = np.where(h_eq >= hcf, np.maximum(progress, 0.0), 0.0)
+    progress = np.where((h_eq >= hcf) & ~np.isfinite(progress), 1.0, progress)
+    progress = np.minimum(progress**BER_GROWTH_EXPONENT, BER_OVERSHOOT_CAP)
+    ber = field_.ber_sat * np.asarray(affinity) * progress
+    min_ber = np.where(h_eq >= hcf, 1.0 / model.row_bits, 0.0)
+    return np.maximum(ber, min_ber)
+
+
+def characterize_bank_analytic_loop(
+    runner: CharacterizationRunner, bank: int
+) -> BankProfile:
+    """An analytic-mode bank profile, one BER call per curve.
+
+    Six :func:`analytic_ber_reference` calls at 128K pick each row's
+    WCDP in a per-row loop, then one call per hammer count sweeps it,
+    with the same iteration jitter draws as the runner.
+    """
+    if runner.config.mode != "analytic":
+        raise ValueError("analytic reference requires an analytic-mode runner")
+    model = runner.model
+    config = runner.config
+    t_on = config.t_agg_on_ns
+    rng = np.random.default_rng(
+        np.random.SeedSequence([config.seed, bank, 0x17E2])
+    )
+    n = config.rows_per_bank
+
+    ber_by_pattern = np.stack(
+        [
+            analytic_ber_reference(
+                model, bank, HC_128K, t_agg_on_ns=t_on, pattern=p
+            )
+            for p in DATA_PATTERNS
+        ]
+    )
+    wcdp_positions = np.argmax(ber_by_pattern, axis=0)
+    wcdp_index = np.array(
+        [
+            WCDP_CANDIDATES.index(DATA_PATTERNS[p])
+            if DATA_PATTERNS[p] in WCDP_CANDIDATES
+            else 0
+            for p in wcdp_positions
+        ],
+        dtype=np.int8,
+    )
+
+    ber_by_hc: Dict[int, np.ndarray] = {}
+    for hc in config.hc_grid:
+        base = analytic_ber_reference(
+            model, bank, hc, t_agg_on_ns=t_on, pattern=None
+        )
+        worst = np.zeros(n)
+        for _ in range(config.iterations):
+            jitter = (
+                1.0 + ITERATION_BER_SIGMA * rng.standard_normal(n)
+                if config.iterations > 1
+                else 1.0
+            )
+            worst = np.maximum(worst, base * jitter)
+        ber_by_hc[int(hc)] = np.clip(worst, 0.0, 1.0)
+
+    measured = runner._measured_hc_first_from_bers(ber_by_hc)
+    return BankProfile(
+        module_label=runner.spec.label,
+        bank=bank,
+        t_agg_on_ns=t_on,
+        wcdp_index=wcdp_index,
+        measured_hc_first=measured,
+        ber_by_hc=ber_by_hc,
+        row_indices=np.arange(n, dtype=np.int64),
+        bank_rows=n,
     )
 
 

@@ -34,6 +34,17 @@ from repro.faults.variation import HC_128K, HC_GRID
 #: Iteration-to-iteration BER variation the paper reports (5.7%).
 ITERATION_BER_SIGMA = 0.057 / 2.0
 
+#: ``_WCDP_OF_TEST_POSITION[p]`` = the ``WCDP_CANDIDATES`` index recorded
+#: for a row whose worst test pattern is ``DATA_PATTERNS[p]``; the
+#: column stripes, which are not candidates, record 0.
+_WCDP_OF_TEST_POSITION = np.array(
+    [
+        WCDP_CANDIDATES.index(pattern) if pattern in WCDP_CANDIDATES else 0
+        for pattern in DATA_PATTERNS
+    ],
+    dtype=np.int8,
+)
+
 
 @dataclass(frozen=True)
 class CharacterizationConfig:
@@ -190,30 +201,24 @@ class CharacterizationRunner:
             np.random.SeedSequence([self.config.seed, bank, 0x17E2])
         )
         n = self.config.rows_per_bank
+        hc_grid = self.config.hc_grid
+        curves = model.analytic_ber_curves(
+            bank,
+            [(HC_128K, p) for p in DATA_PATTERNS]
+            + [(hc, None) for hc in hc_grid],
+            t_agg_on_ns=t_on,
+        )
 
         # Step 1 (Algorithm 1): find each row's WCDP at HC = 128K.
-        ber_by_pattern = np.stack(
-            [
-                model.analytic_ber(bank, HC_128K, t_agg_on_ns=t_on, pattern=p)
-                for p in DATA_PATTERNS
-            ]
+        wcdp_positions = np.argmax(
+            np.stack(curves[: len(DATA_PATTERNS)]), axis=0
         )
-        wcdp_positions = np.argmax(ber_by_pattern, axis=0)
-        wcdp_index = np.array(
-            [
-                WCDP_CANDIDATES.index(DATA_PATTERNS[p])
-                if DATA_PATTERNS[p] in WCDP_CANDIDATES
-                else 0
-                for p in wcdp_positions
-            ],
-            dtype=np.int8,
-        )
+        wcdp_index = _WCDP_OF_TEST_POSITION[wcdp_positions]
 
         # Step 2: sweep the hammer count at the WCDP.  "Worst case over
         # iterations" = max BER / min HC_first, with iteration jitter.
         ber_by_hc: Dict[int, np.ndarray] = {}
-        for hc in self.config.hc_grid:
-            base = model.analytic_ber(bank, hc, t_agg_on_ns=t_on, pattern=None)
+        for hc, base in zip(hc_grid, curves[len(DATA_PATTERNS) :]):
             worst = np.zeros(n)
             for _ in range(self.config.iterations):
                 jitter = (
@@ -290,12 +295,7 @@ class CharacterizationRunner:
             ]
         )
         best_position = np.argmax(flips_by_pattern, axis=0)
-        wcdp_index = np.zeros(n, dtype=np.int8)
-        for position, pattern in enumerate(DATA_PATTERNS):
-            if pattern in WCDP_CANDIDATES:
-                wcdp_index[best_position == position] = WCDP_CANDIDATES.index(
-                    pattern
-                )
+        wcdp_index = _WCDP_OF_TEST_POSITION[best_position]
         # The sweep tests each row at its best pattern -- including the
         # column stripes, which are not WCDP candidates.
         test_order_to_enum = np.array(

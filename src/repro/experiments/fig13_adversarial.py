@@ -3,8 +3,11 @@
 At a worst-case HC_first of 64, the paper measures the slowdown of
 Hydra under a counter-cache-thrashing pattern and of RRS under a
 single-row hammer, for No Svärd and the three Svärd profiles,
-normalized to No Svärd.  Svärd reduces both (Obsv 16), most with the
-Mfr. S profile (Obsv 17).
+normalized to No Svärd.  Svärd reduces both (Obsv 16, checked as
+``Takeaway 9@fig13-wide``).  The paper finds the reduction largest
+with the Mfr. S profile (Obsv 17); the reproduction contradicts that
+order, with Svärd-S0 helping least on both defenses -- a known
+deviation, with its numbers in EXPERIMENTS.md.
 """
 
 from __future__ import annotations

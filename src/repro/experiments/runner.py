@@ -977,7 +977,7 @@ def _cmd_check_timing(argv) -> int:
     if args.json:
         document = {
             "workload": workload,
-            "speed_mts": args.speed,
+            "speed_mts": config.timing.data_rate_mts,
             "defense": defense_name,
             "cores": config.cores,
             "requests": config.requests_per_core * config.cores,

@@ -262,11 +262,52 @@ class DisturbanceModel:
         what the device/bender path measures (tested for equivalence);
         it exists so full-bank sweeps stay fast.
         """
+        return self.analytic_ber_curves(
+            bank, [(hammer_count, pattern)], t_agg_on_ns=t_agg_on_ns
+        )[0]
+
+    def analytic_ber_curves(
+        self,
+        bank: int,
+        points: Sequence[Tuple[float, Optional[DataPattern]]],
+        *,
+        t_agg_on_ns: float = T_AGG_ON_MIN_NS,
+    ) -> List[np.ndarray]:
+        """:meth:`analytic_ber` at each ``(hammer_count, pattern)`` point.
+
+        One bank's whole Algorithm 1 sweep in one call: the terms that
+        depend only on the bank (the rowpress multiplier, ``log`` of
+        HC_first and the guarded denominator) are computed once, and
+        each curve is one 1-D pass over the rows with its ``h_eq >=
+        HC_first`` mask computed once.  Bit-identical to one call per
+        curve; the per-call form survives as the oracle
+        :func:`repro.characterization.reference.analytic_ber_reference`.
+        """
         field_ = self.field(bank)
         m = rowpress_multiplier(t_agg_on_ns, self.spec.rowpress_exponent)
-        affinity = self._affinity_vector(field_, pattern)
-        h_eq = hammer_count * m * affinity
-        return self._ber_curve(field_, h_eq, affinity)
+        hcf = field_.hc_first
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_hcf = np.log(hcf)
+            denom = np.log(HC_128K) - log_hcf
+        guarded = np.where(denom > 0, denom, np.inf)
+        floor = 1.0 / self.row_bits
+        curves = []
+        for hammer_count, pattern in points:
+            affinity = self._affinity_vector(field_, pattern)
+            h_eq = hammer_count * m * affinity
+            reached = h_eq >= hcf
+            with np.errstate(divide="ignore", invalid="ignore"):
+                progress = (np.log(h_eq) - log_hcf) / guarded
+            progress = np.where(reached, np.maximum(progress, 0.0), 0.0)
+            # Rows with HC_first at/above 128K jump straight to saturation.
+            progress = np.where(reached & ~np.isfinite(progress), 1.0, progress)
+            progress = np.minimum(
+                progress**BER_GROWTH_EXPONENT, BER_OVERSHOOT_CAP
+            )
+            ber = field_.ber_sat * affinity * progress
+            # The defining property of HC_first: at least one bitflip there.
+            curves.append(np.maximum(ber, np.where(reached, floor, 0.0)))
+        return curves
 
     # ------------------------------------------------------------------
     # Internals
@@ -315,27 +356,6 @@ class DisturbanceModel:
             elif pattern is wcdp.inverse:
                 out[wcdps == index] = _AFFINITY_INVERSE
         return out
-
-    def _ber_curve(
-        self,
-        field_: SpatialVariationField,
-        h_eq: np.ndarray | float,
-        affinity: np.ndarray | float,
-    ) -> np.ndarray:
-        """Vectorized BER given WCDP-equivalent hammer counts."""
-        hcf = field_.hc_first
-        h_eq = np.broadcast_to(np.asarray(h_eq, dtype=np.float64), hcf.shape)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            denom = np.log(HC_128K) - np.log(hcf)
-            progress = (np.log(h_eq) - np.log(hcf)) / np.where(denom > 0, denom, np.inf)
-        progress = np.where(h_eq >= hcf, np.maximum(progress, 0.0), 0.0)
-        # Rows with HC_first at/above 128K jump straight to saturation.
-        progress = np.where((h_eq >= hcf) & ~np.isfinite(progress), 1.0, progress)
-        progress = np.minimum(progress**BER_GROWTH_EXPONENT, BER_OVERSHOOT_CAP)
-        ber = field_.ber_sat * np.asarray(affinity) * progress
-        # The defining property of HC_first: at least one bitflip there.
-        min_ber = np.where(h_eq >= hcf, 1.0 / self.row_bits, 0.0)
-        return np.maximum(ber, min_ber)
 
     def materialize_bank(
         self, bank: int, victims: Optional[np.ndarray] = None

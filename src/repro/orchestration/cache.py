@@ -56,6 +56,7 @@ sources.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import pickle
 import socket
@@ -63,9 +64,9 @@ import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.orchestration.hashing import TaskKey, code_version, stable_hash
+from repro.orchestration.hashing import TaskKey, canonicalize, code_version
 
 #: Environment variable overriding the default cache directory.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -214,7 +215,27 @@ class ResultCache:
 
     def entry_key(self, task_key: TaskKey, fingerprint: Any) -> str:
         """The content hash addressing one result on disk."""
-        return stable_hash((tuple(task_key), fingerprint, self.version))
+        return self.entry_keys([task_key], fingerprint)[0]
+
+    def entry_keys(
+        self, task_keys: Sequence[TaskKey], fingerprint: Any
+    ) -> List[str]:
+        """:meth:`entry_key` of every task key of one group.
+
+        The fingerprint and the code version are canonicalized once for
+        the whole group, not once per task.  Each key hashes the string
+        ``stable_hash((tuple(key), fingerprint, version))`` hashes, since
+        a tuple canonicalizes to its items' forms joined by commas
+        inside parentheses.  Nothing is memoized by value across calls:
+        ``36 == 36.0`` and they hash alike, yet canonicalize differently.
+        """
+        suffix = f",{canonicalize(fingerprint)},{canonicalize(self.version)})"
+        return [
+            hashlib.sha256(
+                f"({canonicalize(tuple(key))}{suffix}".encode("utf-8")
+            ).hexdigest()
+            for key in task_keys
+        ]
 
     def path_for(self, entry_key: str) -> Path:
         """Where ``entry_key`` lives (and is written): its shard."""

@@ -113,21 +113,21 @@ class OrchestrationContext:
         pending: List[PendingTask] = []
 
         for group in groups:
-            for task in group.tasks:
-                if self.cache is not None:
-                    entry_key = self.cache.entry_key(
-                        task.key, group.fingerprint
-                    )
-                    hit, value = self.cache.load(entry_key)
-                    if hit:
-                        results[task.key] = value
-                        self.stats.hits += 1
-                        done += 1
-                        self._report(done, total, task.key)
-                        continue
-                    pending.append(PendingTask(task=task, entry_key=entry_key))
-                else:
-                    pending.append(PendingTask(task=task))
+            if self.cache is None:
+                pending.extend(PendingTask(task=task) for task in group.tasks)
+                continue
+            group_keys = self.cache.entry_keys(
+                [task.key for task in group.tasks], group.fingerprint
+            )
+            for task, entry_key in zip(group.tasks, group_keys):
+                hit, value = self.cache.load(entry_key)
+                if hit:
+                    results[task.key] = value
+                    self.stats.hits += 1
+                    done += 1
+                    self._report(done, total, task.key)
+                    continue
+                pending.append(PendingTask(task=task, entry_key=entry_key))
 
         entry_keys = {item.task.key: item.entry_key for item in pending}
         store = self.cache is not None and not self.backend.publishes_to_cache

@@ -85,53 +85,63 @@ WIDE_FEATURE_SCALE = ExperimentScale(rows_per_bank=2048, banks=(1, 4), seed=0)
 #: Fig 8's probe runs: one 512-row bank.
 FIG8_SCALE = ExperimentScale(rows_per_bank=512, banks=(0,), seed=2)
 
+#: Each experiment's parity scale: the scale its parity run uses
+#: (``sec64`` takes none).
+PARITY_SCALES = {
+    **{
+        name: ONE_MODULE
+        for name in ("fig3", "fig4", "fig5", "fig6", "fig7", "table5")
+    },
+    "fig8": ExperimentScale(
+        rows_per_bank=512, banks=(0,), modules=("H1", "M1", "S0"), seed=2
+    ),
+    "fig9": FEATURE_SCALE,
+    "fig10": ExperimentScale(rows_per_bank=2048, banks=(1,), seed=0),
+    "fig12": ExperimentScale(
+        rows_per_bank=1024,
+        banks=(1, 4),
+        n_mixes=1,
+        requests_per_core=1200,
+        hc_first_values=(1024, 64),
+        svard_profiles=("S0",),
+        seed=3,
+    ),
+    "fig13": ExperimentScale(
+        rows_per_bank=1024, banks=(1,), svard_profiles=("S0",),
+        requests_per_core=6000, seed=3,
+    ),
+    "attack-manysided": ExperimentScale(
+        rows_per_bank=1024, banks=(1,), svard_profiles=("S0",),
+        requests_per_core=3000, seed=3,
+    ),
+    "table3": FEATURE_SCALE,
+    "ablation-bins": ExperimentScale(
+        rows_per_bank=1024, banks=(1, 4), requests_per_core=1200, seed=3
+    ),
+}
+
 #: name -> zero-argument call returning the rich result.
 RUNS = {
-    "fig3": lambda: fig3_ber_distribution.run(ONE_MODULE),
-    "fig4": lambda: fig4_ber_location.run(ONE_MODULE),
-    "fig5": lambda: fig5_hcfirst_distribution.run(ONE_MODULE),
-    "fig6": lambda: fig6_hcfirst_location.run(ONE_MODULE),
-    "fig7": lambda: fig7_rowpress.run(ONE_MODULE),
-    "fig8": lambda: fig8_subarray_silhouette.run(
-        ExperimentScale(
-            rows_per_bank=512, banks=(0,), modules=("H1", "M1", "S0"), seed=2
-        )
-    ),
-    "fig9": lambda: fig9_spatial_features.run(FEATURE_SCALE),
-    "fig10": lambda: fig10_aging.run(
-        ExperimentScale(rows_per_bank=2048, banks=(1,), seed=0)
-    ),
+    "fig3": lambda: fig3_ber_distribution.run(PARITY_SCALES["fig3"]),
+    "fig4": lambda: fig4_ber_location.run(PARITY_SCALES["fig4"]),
+    "fig5": lambda: fig5_hcfirst_distribution.run(PARITY_SCALES["fig5"]),
+    "fig6": lambda: fig6_hcfirst_location.run(PARITY_SCALES["fig6"]),
+    "fig7": lambda: fig7_rowpress.run(PARITY_SCALES["fig7"]),
+    "fig8": lambda: fig8_subarray_silhouette.run(PARITY_SCALES["fig8"]),
+    "fig9": lambda: fig9_spatial_features.run(PARITY_SCALES["fig9"]),
+    "fig10": lambda: fig10_aging.run(PARITY_SCALES["fig10"]),
     "fig12": lambda: fig12_performance.run(
-        ExperimentScale(
-            rows_per_bank=1024,
-            banks=(1, 4),
-            n_mixes=1,
-            requests_per_core=1200,
-            hc_first_values=(1024, 64),
-            svard_profiles=("S0",),
-            seed=3,
-        ),
-        defenses=("PARA", "RRS"),
+        PARITY_SCALES["fig12"], defenses=("PARA", "RRS")
     ),
-    "fig13": lambda: fig13_adversarial.run(
-        ExperimentScale(
-            rows_per_bank=1024, banks=(1,), svard_profiles=("S0",),
-            requests_per_core=6000, seed=3,
-        )
-    ),
+    "fig13": lambda: fig13_adversarial.run(PARITY_SCALES["fig13"]),
     "attack-manysided": lambda: attack_manysided.run(
-        ExperimentScale(
-            rows_per_bank=1024, banks=(1,), svard_profiles=("S0",),
-            requests_per_core=3000, seed=3,
-        )
+        PARITY_SCALES["attack-manysided"]
     ),
-    "table3": lambda: table3_features.run(FEATURE_SCALE),
-    "table5": lambda: table5_modules.run(ONE_MODULE),
+    "table3": lambda: table3_features.run(PARITY_SCALES["table3"]),
+    "table5": lambda: table5_modules.run(PARITY_SCALES["table5"]),
     "sec64": lambda: sec64_hardware_cost.run(),
     "ablation-bins": lambda: ablation_bins.run(
-        ExperimentScale(
-            rows_per_bank=1024, banks=(1, 4), requests_per_core=1200, seed=3
-        ),
+        PARITY_SCALES["ablation-bins"],
         defense="PARA", hc_first=64, profile_label="S0", bin_sweep=(1, 4, 16),
     ),
     "fig4-50-bins": lambda: fig4_ber_location.run(ONE_MODULE, n_bins=50),

@@ -9,8 +9,10 @@ from repro.analysis.correlation import (
     binarize_measured,
     confusion_matrix,
     correlate_features,
+    f1_macro,
     f1_micro,
     f1_score_weighted,
+    feature_macro_f1,
     fraction_above_threshold,
     predict_from_feature,
     strong_features,
@@ -166,6 +168,26 @@ class TestSilhouette:
         scores = sweep_k(data, range(2, 12))
         assert best_k(scores) == 6
 
+    @pytest.mark.parametrize("max_points", [5000, 300])
+    def test_sweep_equals_per_k_silhouette(self, max_points):
+        """One distance matrix per sweep (600 points <= 5000) and per-k
+        subsamples (600 > 300) both equal scoring each k on its own."""
+        data = np.concatenate([
+            np.full(150, 0.0), np.full(250, 7.0), np.full(200, 20.0)
+        ]) + np.random.default_rng(8).normal(size=600)
+        k_values = range(1, 9)
+        scores = sweep_k(data, k_values, max_points=max_points, seed=4)
+        for k in k_values:
+            labels, _ = kmeans_1d(data, k)
+            populated = len(np.unique(labels))
+            expected = (
+                float("-inf") if populated < 2
+                else silhouette_score_1d(
+                    data, labels, max_points=max_points, seed=4
+                ) * (populated / k)
+            )
+            assert scores[k] == expected, k
+
     def test_best_k_empty_rejected(self):
         with pytest.raises(ValueError):
             best_k({})
@@ -310,6 +332,94 @@ def measured_for(label, rows=2048, banks=(1, 4)):
     params = spec.variation_params(rows)
     features, matrix, _ = extract_features(rows, params.subarray_rows, banks)
     return features, matrix, measured
+
+
+def loop_feature_macro_f1(matrix, target):
+    """The per-feature loop ``feature_macro_f1`` replaced."""
+    return [
+        f1_macro(target, predict_from_feature(matrix[:, column], target))
+        for column in range(matrix.shape[1])
+    ]
+
+
+def _hand_case(columns, target):
+    return (
+        np.asarray(columns, dtype=np.int8).T.copy(),
+        np.asarray(target, dtype=np.int8),
+    )
+
+
+#: name -> (matrix, 0/1 target), one feature column per case.
+F1_HAND_CASES = {
+    # Feature 1 ties (one weak, one strong), feature 0 has a weak
+    # majority: the tie must go to class 0 (strong).
+    "tie-at-1": _hand_case([[1, 1, 0, 0, 0]], [1, 0, 1, 1, 0]),
+    # Both values tie (n11 == n10 and n01 == n00).
+    "both-tie": _hand_case([[1, 1, 0, 0, 0, 0]], [1, 0, 1, 0, 1, 0]),
+    "all-0": _hand_case([[0, 0, 0, 0, 0]], [1, 0, 0, 1, 0]),
+    "all-1": _hand_case([[1, 1, 1, 1, 1]], [1, 1, 0, 1, 0]),
+    "equals-target": _hand_case([[1, 0, 0, 1, 1]], [1, 0, 0, 1, 1]),
+    "complement": _hand_case([[0, 1, 1, 0, 0]], [1, 0, 0, 1, 1]),
+    # Strong everywhere predicted: the weak class has tp = 0.
+    "weak-tp-0": _hand_case([[1, 0, 1, 0, 1, 0]], [1, 0, 0, 0, 0, 0]),
+}
+
+
+class TestFeatureMacroF1:
+    """The count kernel against the per-feature loop, with ``==``."""
+
+    @pytest.mark.parametrize("case", sorted(F1_HAND_CASES))
+    def test_hand_cases_match_loop(self, case):
+        matrix, target = F1_HAND_CASES[case]
+        got = feature_macro_f1(matrix, target)
+        assert got.tolist() == loop_feature_macro_f1(matrix, target)
+
+    def test_hand_case_values(self):
+        score = {
+            case: float(feature_macro_f1(*F1_HAND_CASES[case])[0])
+            for case in F1_HAND_CASES
+        }
+        # Predictions [0, 0, 1, 1, 1]: F1 2/3 (weak) and 1/2 (strong).
+        assert score["tie-at-1"] == pytest.approx(7 / 12)
+        assert score["equals-target"] == score["complement"] == 1.0
+        # One class predicted everywhere: its F1 alone, halved.
+        assert score["weak-tp-0"] == pytest.approx((2 * (5 / 6) / (11 / 6)) / 2)
+        assert score["all-0"] == pytest.approx((2 * 0.6 / 1.6) / 2)
+
+    @pytest.mark.parametrize("label, rows, banks", [
+        ("S0", 2048, (1, 4)),
+        ("S3", 2048, (1, 4)),
+        ("H1", 1024, (1, 4)),
+        ("M1", 512, (0, 1, 2, 3)),
+        ("S4", 512, (1,)),
+    ])
+    def test_extracted_features_match_loop(self, label, rows, banks):
+        """Fig 9's matrices: bank, row, subarray and distance bits."""
+        features, matrix, measured = measured_for(label, rows=rows, banks=banks)
+        target = binarize_measured(measured)
+        assert matrix.dtype == np.int8
+        got = feature_macro_f1(matrix, target)
+        assert got.tolist() == loop_feature_macro_f1(matrix, target)
+        assert [c.f1 for c in correlate_features(features, matrix, measured)] == (
+            loop_feature_macro_f1(matrix, target)
+        )
+
+    def test_random_columns_match_loop(self):
+        rng = np.random.default_rng(23)
+        for _ in range(60):
+            n = int(rng.integers(2, 200))
+            matrix = (
+                rng.random((n, 8)) < rng.random(8)
+            ).astype(np.int8)
+            target = (rng.random(n) < rng.random()).astype(np.int8)
+            target[:2] = (0, 1)
+            got = feature_macro_f1(matrix, target)
+            assert got.tolist() == loop_feature_macro_f1(matrix, target)
+
+    def test_constant_measurement_scores_half(self):
+        features, matrix, _ = extract_features(256, 64, (1,))
+        correlations = correlate_features(features, matrix, np.full(256, 42))
+        assert [c.f1 for c in correlations] == [0.5] * len(features)
 
 
 class TestTakeaway6:

@@ -518,6 +518,23 @@ class TestRunnerCli:
         assert exit_info.value.code == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("device, data_rate_mts", [
+        ("DDR5-4800", 4800), ("LPDDR4-3200", 3200),
+    ])
+    def test_check_timing_json_reports_the_device_data_rate(
+        self, device, data_rate_mts, capsys
+    ):
+        """``speed_mts`` names the rate ``--device`` ran at, not
+        ``--speed``'s DDR4 default."""
+        status = runner.main([
+            "check-timing", "--json", "--device", device, "--cores", "1",
+            "--requests-per-core", "50", "--rows-per-bank", "512",
+        ])
+        assert status == 0
+        document = json.loads(capsys.readouterr().out)
+        assert document["device"] == device
+        assert document["speed_mts"] == data_rate_mts
+
     @pytest.mark.parametrize("argv, usage", [
         (["recipe"], RECIPE_USAGE),
         (["recipe", "bogus"], RECIPE_USAGE),

@@ -1,13 +1,14 @@
 """The vectorized measurement kernels against their loop references.
 
 The batched hot paths (``materialize_bank``, ``measure_ber_bank``, the
-batched platform characterization, ``single_sided_disturbs_bank`` and
-Fig 8's boundary search) must be *bit-for-bit* equal to the
-per-row/per-victim loops they replaced -- not approximately equal --
-because the sha256 task cache and the golden files both key on exact
-bytes.  The per-row loops survive as
-:func:`repro.characterization.reference.characterize_bank_loop` and
-:func:`repro.characterization.reference.find_boundary_candidates_loop`
+batched platform characterization, the one-call-per-bank analytic
+sweep, ``single_sided_disturbs_bank`` and Fig 8's boundary search) must
+be *bit-for-bit* equal to the per-row/per-victim/per-curve paths they
+replaced -- not approximately equal -- because the sha256 task cache
+and the golden files both key on exact bytes.  Those paths survive as
+:func:`repro.characterization.reference.characterize_bank_loop`,
+:func:`repro.characterization.reference.characterize_bank_analytic_loop`
+and :func:`repro.characterization.reference.find_boundary_candidates_loop`
 purely to serve as the oracles here and in the ``make test`` smoke;
 ``TestPlatform.single_sided_disturbs`` is the per-probe reference.
 
@@ -17,12 +18,15 @@ grid binding, the missing BER clip).
 """
 
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 from tests.conftest import make_tiny_spec
 from repro.characterization.reference import (
+    analytic_ber_reference,
+    characterize_bank_analytic_loop,
     characterize_bank_loop,
     find_boundary_candidates_loop,
 )
@@ -35,6 +39,7 @@ from repro.bender.infrastructure import TestPlatform
 from repro.dram.mapping import ScramblingScheme
 from repro.faults.datapatterns import DATA_PATTERNS, DataPattern
 from repro.faults.disturbance import BER_OVERSHOOT_CAP, DisturbanceModel
+from repro.faults.modules import module_by_label
 from repro.reveng.subarray import SubarrayReverseEngineer
 
 GRID = (16, 24, 32, 48, 64, 96, 160)
@@ -276,6 +281,46 @@ class TestCharacterizationKernel:
             batched.characterize_bank(1),
             characterize_bank_loop(oracle, 1),
         )
+
+
+class TestAnalyticBankKernel:
+    """One ``analytic_ber_curves`` call per bank against the 20-call
+    oracle: DDR4-2400 (S3, M1) and DDR4-3200 (H1) modules, the three
+    Fig 7 on-times, two bank sizes, every representative bank."""
+
+    @pytest.mark.parametrize("rows", [512, 2048])
+    @pytest.mark.parametrize("t_agg_on_ns", [36.0, 500.0, 2000.0])
+    @pytest.mark.parametrize("label", ["S3", "M1", "H1"])
+    def test_profiles_pickle_identical_to_oracle(self, label, t_agg_on_ns, rows):
+        config = CharacterizationConfig(
+            rows_per_bank=rows, t_agg_on_ns=t_agg_on_ns, seed=4
+        )
+        runner = CharacterizationRunner(module_by_label(label), config)
+        for bank in config.banks:
+            assert pickle.dumps(runner.characterize_bank(bank)) == pickle.dumps(
+                characterize_bank_analytic_loop(runner, bank)
+            ), bank
+
+    def test_jittered_iterations_match_oracle(self):
+        """Both paths draw the same per-bank jitter in the same order."""
+        config = CharacterizationConfig(rows_per_bank=512, iterations=3, seed=9)
+        runner = CharacterizationRunner(module_by_label("S0"), config)
+        kernel = runner.characterize_bank(2)
+        assert pickle.dumps(kernel) == pickle.dumps(
+            characterize_bank_analytic_loop(runner, 2)
+        )
+
+    def test_single_curve_matches_oracle(self):
+        """``analytic_ber`` (a one-point curve call) at every pattern,
+        below, at and above 128K."""
+        model = DisturbanceModel(module_by_label("M1"), rows_per_bank=512)
+        for pattern in (None,) + DATA_PATTERNS:
+            for hc in (1000, 32 * 1024, 128 * 1024, 10**6):
+                got = model.analytic_ber(1, hc, t_agg_on_ns=120.0, pattern=pattern)
+                want = analytic_ber_reference(
+                    model, 1, hc, t_agg_on_ns=120.0, pattern=pattern
+                )
+                assert got.tobytes() == want.tobytes(), (pattern, hc)
 
 
 class TestMaterializeBank:

@@ -19,10 +19,12 @@ from repro.experiments.common import (
     _CHARACTERIZATION_CACHE,
     characterize_modules,
 )
+from repro.experiments.api import all_experiments
 from repro.orchestration import (
     OrchestrationContext,
     ResultCache,
     Task,
+    TaskGroup,
     canonicalize,
     derive_task_seed,
     make_task,
@@ -31,6 +33,7 @@ from repro.orchestration import (
     stable_hash,
 )
 from repro.sim.config import SystemConfig
+from tests.conftest import PARITY_SCALES
 
 #: Small enough that the three-way fig12 comparison stays in seconds:
 #: 1 baseline + (No Svärd, Svärd-S0) x 1 HC x 1 mix = 3 tasks.
@@ -338,3 +341,73 @@ class TestHashing:
         ctx.run(tasks, fingerprint=None)
         assert [s[0] for s in seen] == [1, 2, 3]
         assert all(s[1] == 3 for s in seen)
+
+
+# ----------------------------------------------------------------------
+# Entry keys: one fingerprint canonicalization per task group.
+# ----------------------------------------------------------------------
+
+#: ``entry_key(PINNED_TASK_KEY, PINNED_FINGERPRINT)`` under code version
+#: ``"pinned-version"``, computed from ``stable_hash((key, fingerprint,
+#: version))`` before keys were built a group at a time.
+PINNED_TASK_KEY = ("fig12", "mix", 0, "Hydra", 64)
+PINNED_ENTRY_KEY = (
+    "aebd514ff18b7de9db4eb3ce93f511723ac31f3c93a7540f8071e780e804fa74"
+)
+
+
+class TestEntryKeys:
+    def test_pinned_entry_key(self, tmp_path):
+        cache = ResultCache(tmp_path, version="pinned-version")
+        fingerprint = ("fig12", ExperimentScale(), SystemConfig())
+        assert cache.entry_key(PINNED_TASK_KEY, fingerprint) == PINNED_ENTRY_KEY
+        assert cache.entry_keys([PINNED_TASK_KEY], fingerprint) == [
+            PINNED_ENTRY_KEY
+        ]
+
+    def test_group_keys_equal_per_task_keys_for_every_experiment(
+        self, tmp_path
+    ):
+        """Every registered experiment's groups at its parity scale."""
+        cache = ResultCache(tmp_path, version="v")
+        groups = 0
+        for name, experiment in all_experiments().items():
+            scale = PARITY_SCALES.get(name, ExperimentScale())
+            for group in experiment.build_tasks(scale, OrchestrationContext()):
+                keys = [task.key for task in group.tasks]
+                batched = cache.entry_keys(keys, group.fingerprint)
+                assert batched == [
+                    cache.entry_key(key, group.fingerprint) for key in keys
+                ], name
+                assert batched == [
+                    stable_hash((key, group.fingerprint, cache.version))
+                    for key in keys
+                ], name
+                groups += 1
+        assert groups > len(PARITY_SCALES)
+
+    def test_int_and_float_fingerprints_name_different_entries(self, tmp_path):
+        """``36 == 36.0`` with equal hashes, but they canonicalize apart,
+        so two groups in one submission must not share keys."""
+        assert ("x", 36) == ("x", 36.0) and hash(36) == hash(36.0)
+        ctx = OrchestrationContext(cache=ResultCache(tmp_path))
+        ctx.run_groups([
+            TaskGroup(tasks=(make_task(("a",), _double, 1),),
+                      fingerprint=("x", 36)),
+            TaskGroup(tasks=(make_task(("b",), _double, 2),),
+                      fingerprint=("x", 36.0)),
+        ])
+        assert ctx.stats.executed == 2
+        cache = ctx.cache
+        assert cache.entry_key(("a",), ("x", 36)) != cache.entry_key(
+            ("a",), ("x", 36.0)
+        )
+        # ("a",) was stored under the int fingerprint only.
+        replay = OrchestrationContext(cache=ResultCache(tmp_path))
+        replay.run_groups([
+            TaskGroup(tasks=(make_task(("a",), _double, 1),),
+                      fingerprint=("x", 36.0)),
+            TaskGroup(tasks=(make_task(("b",), _double, 2),),
+                      fingerprint=("x", 36.0)),
+        ])
+        assert (replay.stats.hits, replay.stats.executed) == (1, 1)
