@@ -25,8 +25,10 @@
 #                       replayed against its generation's own JEDEC
 #                       rulebook (zero violations); then a broken
 #                       rulebook as negative control (must flag
-#                       violations) and a byte-diff of DDR4 `runner
-#                       check-timing` against the pre-refactor golden
+#                       violations), a byte-diff of DDR4 `runner
+#                       check-timing` against the pre-refactor golden,
+#                       and each defended cell at HC_first 64 and 4096
+#                       through record-and-replay, equal to its plain run
 #   make examples-smoke every script in examples/ runs to a zero exit
 #   make golden         regenerate every snapshot pytest pins (tests/golden/,
 #                       the CLI reference in EXPERIMENTS.md)

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """`make conformance-smoke`: the JEDEC conformance oracle end to end.
 
-Three parts, all cheap enough for every ``make test``:
+Four parts, all cheap enough for every ``make test``:
 
 1. a tiny sweep -- every device generation (DDR4-3200, DDR4-2666,
    LPDDR4-3200, DDR5-4800), undefended and under every defense, over
@@ -17,7 +17,13 @@ Three parts, all cheap enough for every ``make test``:
    would actually fail if the engine or the checker went quiet;
 3. the refactor guard: `runner check-timing --json` at the default
    DDR4-3200 settings must emit a document byte-identical to
-   ``tests/golden/check_timing_ddr4.json``.
+   ``tests/golden/check_timing_ddr4.json``;
+4. record-and-replay: every defended cell of the sweep, at HC_first 64
+   and at 4096, also runs through :class:`repro.sim.engine.Recording`
+   (the path Fig 12 and the bins ablation take), and its
+   ``SimulationResult`` and ``DefenseStats`` must equal the plain
+   run's.  The smoke prints how many cells took each path and fails if
+   none took the replay-only path (a defense that never acts).
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ from repro.dram.timing import device_for  # noqa: E402
 from repro.experiments import runner  # noqa: E402
 from repro.sim.config import SystemConfig  # noqa: E402
 from repro.sim.conformance import TimingChecker, check_run  # noqa: E402
-from repro.sim.engine import MemorySystem  # noqa: E402
+from repro.sim.engine import MemorySystem, Recording  # noqa: E402
 from repro.workloads.mixes import synthetic_traces  # noqa: E402
 
 GOLDEN = ROOT / "tests" / "golden" / "check_timing_ddr4.json"
@@ -185,8 +191,51 @@ def main() -> int:
         print(f"    got {len(stdout.getvalue())} bytes, want {len(golden)} bytes")
         return 1
     print(f"  ok DDR4 check-timing byte-identical to {GOLDEN.name}")
+
+    if not replay_matches_plain():
+        return 1
     print(f"conformance-smoke passed ({total_commands} commands replayed)")
     return 0
+
+
+def replay_matches_plain() -> bool:
+    """Part 4: each defended cell through record-and-replay."""
+    paths = {"replay only": 0, "replay + simulation": 0}
+    original_run = MemorySystem.run
+    for device, suite, defense_name, _ in SWEEP:
+        if defense_name is None:
+            continue
+        for hc_first in (64, 4096):
+            label = f"{device}/{suite}/{defense_name}/HC{hc_first}"
+            plain_system = build_system(device, suite, defense_name, hc_first)
+            plain = plain_system.run()
+
+            def traces():
+                return build_system(device, suite, defense_name, hc_first).traces
+
+            system = build_system(device, suite, defense_name, hc_first)
+            recording = Recording(system.config, traces)
+            simulations = []
+
+            def counted_run(memory_system, **kwargs):
+                simulations.append(memory_system)
+                return original_run(memory_system, **kwargs)
+
+            MemorySystem.run = counted_run
+            try:
+                replayed = recording.run(system.defense)
+            finally:
+                MemorySystem.run = original_run
+            if replayed != plain or system.defense.stats != plain_system.defense.stats:
+                print(f"  FAIL replay of {label} differs from its plain run")
+                return False
+            paths["replay + simulation" if simulations else "replay only"] += 1
+    summary = ", ".join(f"{count} {path}" for path, count in paths.items())
+    if not paths["replay only"]:
+        print(f"  FAIL no defended cell took the replay-only path ({summary})")
+        return False
+    print(f"  ok record-and-replay equals the plain run: {summary}")
+    return True
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ mechanism needs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -37,21 +37,35 @@ class CountingBloomFilter:
         multipliers = rng.integers(1, 2**31, size=self.n_hashes) * 2 + 1
         offsets = rng.integers(0, 2**31, size=self.n_hashes)
         self._hashes = list(zip(multipliers.tolist(), offsets.tolist()))
+        #: ``key -> distinct indices``: the hashes are fixed at
+        #: construction, so each key is hashed once per filter.
+        self._index_memo: Dict[int, Tuple[int, ...]] = {}
 
-    def _indices(self, key: int) -> List[int]:
+    def _hash(self, key: int) -> Tuple[int, ...]:
+        """Memoizes and returns the key's distinct counter indices."""
         n = self.n_counters
-        return [((key * m + o) >> 7) % n for m, o in self._hashes]
+        indices = self._index_memo[key] = tuple(
+            {((key * m + o) >> 7) % n for m, o in self._hashes}
+        )
+        return indices
 
     def insert(self, key: int) -> None:
         # A key whose hashes collide bumps that counter once.
         counters = self._counters
-        for index in set(self._indices(key)):
+        for index in self._index_memo.get(key) or self._hash(key):
             counters[index] += 1
 
     def estimate(self, key: int) -> int:
-        """Count estimate: never below the true insertion count."""
+        """Count estimate: never below the true insertion count.
+
+        The minimum over the distinct indices is the minimum over all
+        of them.
+        """
         counters = self._counters
-        return min([counters[index] for index in self._indices(key)])
+        return min([
+            counters[index]
+            for index in self._index_memo.get(key) or self._hash(key)
+        ])
 
     def clear(self) -> None:
         self._counters = [0] * self.n_counters

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import List
+from typing import Dict, List, Tuple
 
 from repro.defenses.base import Defense, Mitigation, VictimRefresh
 
@@ -32,6 +32,12 @@ class Para(Defense):
         self.security_bits = security_bits
         self._coefficient = math.log(2.0) * security_bits
         self._rng = random.Random(self.seed)
+        #: ``(bank, row) -> ((victim, p), ...)`` in :meth:`victim_rows`
+        #: order; exact for the same reasons as
+        #: :meth:`~repro.defenses.base.Defense.min_victim_threshold`.
+        self._victim_probabilities: Dict[
+            Tuple[int, int], Tuple[Tuple[int, float], ...]
+        ] = {}
 
     def refresh_probability(self, threshold: float) -> float:
         """Per-activation refresh probability for one victim."""
@@ -39,11 +45,17 @@ class Para(Defense):
 
     def on_activation(self, bank: int, row: int, now_ns: float) -> List[Mitigation]:
         self.stats.activations_observed += 1
-        refresh_rows = []
-        for victim in self.victim_rows(row):
-            p = self.refresh_probability(self.thresholds.threshold(bank, victim))
-            if self._rng.random() < p:
-                refresh_rows.append(victim)
+        key = (bank, row)
+        victims = self._victim_probabilities.get(key)
+        if victims is None:
+            threshold = self.thresholds.threshold
+            victims = self._victim_probabilities[key] = tuple(
+                (victim, self.refresh_probability(threshold(bank, victim)))
+                for victim in self.victim_rows(row)
+            )
+        # One draw per victim, in victim order.
+        draw = self._rng.random
+        refresh_rows = [victim for victim, p in victims if draw() < p]
         if not refresh_rows:
             return []
         mitigations: List[Mitigation] = [

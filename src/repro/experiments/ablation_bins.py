@@ -29,6 +29,7 @@ from repro.experiments.api import (
 from repro.experiments.common import (
     DEFENSE_EPOCH_NS,
     ExperimentScale,
+    defended_run,
     mix_baseline_task,
     scaled_profile,
 )
@@ -39,9 +40,8 @@ from repro.orchestration import (
     make_task,
 )
 from repro.sim.config import SystemConfig
-from repro.sim.engine import MemorySystem
 from repro.sim.metrics import compute_metrics
-from repro.workloads.mixes import build_traces, generate_mixes
+from repro.workloads.mixes import generate_mixes
 
 BIN_SWEEP: Tuple[int, ...] = (1, 2, 4, 8, 16)
 
@@ -128,10 +128,7 @@ def _bins_task(task: Task) -> list:
         rows_per_bank=config.rows_per_bank,
         seed=scale.seed,
     )
-    result = MemorySystem(
-        config, build_traces(mix, config), defense=defense_obj
-    ).run()
-    return result.finish_times()
+    return defended_run(mix, config, defense_obj).finish_times()
 
 
 @register

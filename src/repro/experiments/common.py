@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.characterization.rowpress import T_AGG_ON_SWEEP_NS
@@ -14,7 +16,7 @@ from repro.characterization.runner import (
 )
 from repro.core.profile import VulnerabilityProfile
 from repro.core.svard import Svard
-from repro.defenses.base import SvardThresholds, ThresholdProvider
+from repro.defenses.base import Defense, SvardThresholds, ThresholdProvider
 from repro.dram.geometry import REPRESENTATIVE_BANKS
 from repro.dram.timing import device_for
 from repro.faults.modules import MODULES, module_by_label
@@ -27,8 +29,9 @@ from repro.orchestration import (
     serial_context,
 )
 from repro.sim.config import SystemConfig
-from repro.sim.engine import MemorySystem
+from repro.sim.engine import MemorySystem, Recording, SimulationResult
 from repro.workloads.mixes import (
+    WorkloadMix,
     build_alone_trace,
     build_traces,
     single_core_config,
@@ -313,6 +316,42 @@ def scaled_profile(
     return _PROFILE_MEMO[key]
 
 
+#: Per-process memo of each mix's undefended :class:`Recording`, keyed
+#: by ``(mix, config)``, which fix the traces and the engine, so a
+#: recording is a pure function of its key.  Fig 12 runs a mix's tasks
+#: together, so two entries are enough; each holds 16 bytes per hook
+#: call, about 0.35 MB at 4,000 requests per core.
+_RECORDINGS: "OrderedDict[tuple, Recording]" = OrderedDict()
+_RECORDINGS_HELD = 2
+
+
+def mix_recording(mix: WorkloadMix, config: SystemConfig) -> Recording:
+    """The mix's undefended run and its hook calls (memoized)."""
+    key = (mix, config)
+    recording = _RECORDINGS.get(key)
+    if recording is None:
+        recording = _RECORDINGS[key] = Recording(
+            config, partial(build_traces, mix, config)
+        )
+        if len(_RECORDINGS) > _RECORDINGS_HELD:
+            _RECORDINGS.popitem(last=False)
+    else:
+        _RECORDINGS.move_to_end(key)
+    return recording
+
+
+def defended_run(
+    mix: WorkloadMix, config: SystemConfig, defense: Defense
+) -> SimulationResult:
+    """``MemorySystem(config, build_traces(mix, config), defense=defense)
+    .run()``, bit for bit, for a fresh defense.
+
+    The defense first replays the mix's recording, so a defense that
+    never acts costs only its hooks (see :meth:`Recording.run`).
+    """
+    return mix_recording(mix, config).run(defense)
+
+
 def mix_baseline_task(task: Task) -> Dict[str, list]:
     """Orchestrated unit shared by the performance experiments: the
     alone (single-core) and shared no-defense finish times for one
@@ -326,7 +365,7 @@ def mix_baseline_task(task: Task) -> Dict[str, list]:
         .finish_ns
         for core in range(config.cores)
     ]
-    shared = MemorySystem(config, build_traces(mix, config)).run()
+    shared = mix_recording(mix, config).result()
     return {"alone": alone, "shared": shared.finish_times()}
 
 

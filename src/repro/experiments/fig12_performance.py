@@ -31,6 +31,7 @@ from repro.experiments.common import (
     DEFENSE_EPOCH_NS,
     NO_SVARD,
     ExperimentScale,
+    defended_run,
     mix_baseline_task,
     svard_configurations,
     svard_thresholds,
@@ -42,9 +43,8 @@ from repro.orchestration import (
     make_task,
 )
 from repro.sim.config import SystemConfig
-from repro.sim.engine import MemorySystem
 from repro.sim.metrics import MultiProgramMetrics, compute_metrics
-from repro.workloads.mixes import WorkloadMix, build_traces, generate_mixes
+from repro.workloads.mixes import WorkloadMix, generate_mixes
 
 TITLE = "Fig 12: Svärd performance evaluation"
 
@@ -190,10 +190,7 @@ def _simulation_task(
         hc, thresholds=thresholds, rows_per_bank=config.rows_per_bank,
         seed=scale.seed,
     )
-    result = MemorySystem(
-        config, build_traces(mix, config), defense=defense
-    ).run()
-    return result.finish_times()
+    return defended_run(mix, config, defense).finish_times()
 
 
 @register
@@ -243,36 +240,36 @@ class Fig12Experiment(Experiment):
     # ------------------------------------------------------------------
 
     def build_tasks(self, scale, orch):
+        # One mix's tasks run together, baseline first, so a serial run
+        # records each mix once (see defended_run); tasks sharing a
+        # Svärd setup key run back to back.
         config = self._config(scale)
-        mixes = self._mixes(scale, config)
-        tasks = [
-            make_task(
+        tasks = []
+        for mix in self._mixes(scale, config):
+            tasks.append(make_task(
                 ("fig12", "baseline", mix.name),
                 mix_baseline_task,
                 (mix, config),
                 base_seed=scale.seed,
-            )
-            for mix in mixes
-        ]
-        tasks += [
-            make_task(
-                ("fig12", "sim", defense_name, configuration, hc, mix.name),
-                _simulation_task,
-                (mix, defense_name, configuration, hc, scale, config),
-                base_seed=scale.seed,
-                setup=(
-                    _provider_setup if configuration != NO_SVARD else None
-                ),
-                setup_key=(
-                    (configuration, hc, scale)
-                    if configuration != NO_SVARD else None
-                ),
-            )
-            for defense_name in self._defense_names()
-            for configuration in svard_configurations(scale)
-            for hc in scale.hc_first_values
-            for mix in mixes
-        ]
+            ))
+            tasks += [
+                make_task(
+                    ("fig12", "sim", defense_name, configuration, hc, mix.name),
+                    _simulation_task,
+                    (mix, defense_name, configuration, hc, scale, config),
+                    base_seed=scale.seed,
+                    setup=(
+                        _provider_setup if configuration != NO_SVARD else None
+                    ),
+                    setup_key=(
+                        (configuration, hc, scale)
+                        if configuration != NO_SVARD else None
+                    ),
+                )
+                for configuration in svard_configurations(scale)
+                for hc in scale.hc_first_values
+                for defense_name in self._defense_names()
+            ]
         return [TaskGroup(tasks=tuple(tasks), fingerprint=("fig12", scale, config))]
 
     def reduce(self, scale, outputs):

@@ -12,16 +12,27 @@ granular: every timing decision uses the JEDEC parameters, but time
 advances from event to event, which keeps full Fig 12 sweeps
 tractable in Python while preserving the contention behaviour the
 defenses' overheads come from.
+
+A :class:`Recording` runs a workload once undefended and logs the hook
+calls a defense would receive; :meth:`Recording.run` then gives any
+defense's run on the same workload, bit for bit, and simulates again
+only if that defense acts.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from heapq import heappop, heappush
-from typing import List, NamedTuple, Optional, Protocol, Sequence
+from typing import Callable, List, NamedTuple, Optional, Protocol, Sequence
 
-from repro.defenses.base import MITIGATION_ACCOUNTING, Defense
+from repro.defenses.base import (
+    MITIGATION_ACCOUNTING,
+    Defense,
+    DefenseStats,
+    Mitigation,
+)
 from repro.dram.commands import (
     Command,
     CommandKind,
@@ -453,3 +464,133 @@ class MemorySystem:
             activations=activations,
             refreshes_issued=refreshes,
         )
+
+
+# ----------------------------------------------------------------------
+# Record and replay
+# ----------------------------------------------------------------------
+
+#: The bank a recording logs for an ``on_refresh_window`` call.
+_EPOCH_CALL = -1
+
+
+class _Recorder:
+    """A stand-in defense that never acts and logs every hook call.
+
+    The log holds, in call order, each ``on_activation(bank, row, now)``
+    and ``on_refresh_window(now)`` (bank :data:`_EPOCH_CALL`) a real
+    defense would receive, in three flat arrays: 16 bytes per call.
+    """
+
+    def __init__(self) -> None:
+        self.stats = DefenseStats()
+        self.epoch_ns: Optional[float] = None
+        self.banks = array("i")
+        self.rows = array("i")
+        self.times = array("d")
+
+    def on_activation(self, bank: int, row: int, now_ns: float) -> None:
+        self.banks.append(bank)
+        self.rows.append(row)
+        self.times.append(now_ns)
+
+    def on_refresh_window(self, now_ns: float) -> None:
+        self.banks.append(_EPOCH_CALL)
+        self.rows.append(0)
+        self.times.append(now_ns)
+
+
+class _Primed:
+    """A stand-in that answers the replayed calls, then hands over.
+
+    The replay has already driven ``defense`` through the recording's
+    calls up to its first action, call ``acted`` (0-based).  Up to that
+    call the engine runs exactly as it did while recording, so this
+    stand-in answers the calls before it with nothing, answers call
+    ``acted`` with the saved ``mitigations`` and forwards every later
+    call to the defense: each hook still runs once per ACT.
+    """
+
+    def __init__(
+        self, defense: Defense, acted: int, mitigations: List[Mitigation]
+    ) -> None:
+        self.epoch_ns: Optional[float] = None
+        self._defense = defense
+        self._forward = defense.on_activation
+        #: Calls left to answer here; -1 once the defense has them.
+        self._pending = acted
+        self._mitigations = mitigations
+
+    @property
+    def stats(self) -> DefenseStats:
+        return self._defense.stats
+
+    def on_activation(
+        self, bank: int, row: int, now_ns: float
+    ) -> Optional[List[Mitigation]]:
+        pending = self._pending
+        if pending < 0:
+            return self._forward(bank, row, now_ns)
+        self._pending = pending - 1
+        return None if pending else self._mitigations
+
+    def on_refresh_window(self, now_ns: float) -> None:
+        if self._pending < 0:
+            self._defense.on_refresh_window(now_ns)
+        else:
+            self._pending -= 1
+
+
+class Recording:
+    """One undefended run, and the defense-hook calls it makes.
+
+    The engine's schedule depends on a defense only through what its
+    hooks return, and a hook that returns nothing leaves the run
+    exactly as the recorder's, down to the heap's sequence numbers.
+    So :meth:`run` replays the log into a defense first: if the
+    defense never acts, its run *is* the recorded one; if it first acts
+    at call j, the engine simulates again with a primed stand-in that
+    answers calls 1..j-1 with nothing and call j with the saved
+    mitigations, and forwards the rest.  The recorded run itself equals
+    ``MemorySystem(config, traces).run()``.
+    """
+
+    def __init__(
+        self, config: SystemConfig, traces: Callable[[], Sequence[Trace]]
+    ) -> None:
+        """Runs ``config`` on ``traces()``; ``traces`` must build the same
+        traces on every call, since a defense that acts reruns them."""
+        recorder = _Recorder()
+        self.config = config
+        self._traces = traces
+        self._result = MemorySystem(config, traces(), defense=recorder).run()
+        #: The epoch the engine set: ``defense_epoch_ns or tREFW``.
+        self.epoch_ns = recorder.epoch_ns
+        self._banks = recorder.banks
+        self._rows = recorder.rows
+        self._times = recorder.times
+
+    def result(self) -> SimulationResult:
+        """A fresh copy of the recorded run."""
+        result = self._result
+        return replace(result, cores=[replace(core) for core in result.cores])
+
+    def run(self, defense: Defense) -> SimulationResult:
+        """``MemorySystem(config, traces(), defense=defense).run()``, bit
+        for bit, for a defense no run has driven yet."""
+        defense.epoch_ns = self.epoch_ns
+        on_activation = defense.on_activation
+        on_refresh_window = defense.on_refresh_window
+        for call, (bank, row, now_ns) in enumerate(
+            zip(self._banks, self._rows, self._times)
+        ):
+            if bank == _EPOCH_CALL:
+                on_refresh_window(now_ns)
+                continue
+            mitigations = on_activation(bank, row, now_ns)
+            if mitigations:
+                primed = _Primed(defense, call, mitigations)
+                return MemorySystem(
+                    self.config, self._traces(), defense=primed
+                ).run()
+        return self.result()

@@ -25,6 +25,9 @@ _BATCH = 4096
 #: a whole batch at once costs resident memory for no speed.
 _CHUNK = 256
 
+#: Builds a step without the NamedTuple's Python-level ``__new__``.
+_new_tuple = tuple.__new__
+
 
 @dataclass(frozen=True)
 class SuiteProfile:
@@ -128,4 +131,6 @@ class SyntheticTrace:
             row = self._rows[row_index]
             column = 0
         self._chain_state[chain] = (bank, row, column)
-        return TraceStep(bank, row, column, u_write < profile.write_ratio, gap)
+        return _new_tuple(
+            TraceStep, (bank, row, column, u_write < profile.write_ratio, gap)
+        )

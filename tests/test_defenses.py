@@ -114,6 +114,39 @@ class NumpyCountingBloomFilter:
         return int(self._counters.sum() // self.n_hashes)
 
 
+class TestBloomIndexMemo:
+    def test_memoized_hashes_cross_clear_and_rotate(self):
+        """Keys hashed before a ``clear()`` or ``rotate()`` keep counting
+        and estimating like the numpy reference after it."""
+        filt = CountingBloomFilter(n_counters=256, seed=3)
+        reference = NumpyCountingBloomFilter(n_counters=256, seed=3)
+        dual = DualCountingBloomFilter(n_counters=256, seed=3)
+        dual_references = [
+            NumpyCountingBloomFilter(n_counters=256, seed=3),
+            NumpyCountingBloomFilter(n_counters=256, seed=4),
+        ]
+        older = 0
+        rng = np.random.default_rng(9)
+        keys = [109, *rng.integers(0, 1 << 17, size=40).tolist()]
+        for round_ in range(4):
+            for key in rng.choice(keys, size=300).tolist():
+                filt.insert(key)
+                reference.insert(key)
+                dual.insert(key)
+                for numpy_filter in dual_references:
+                    numpy_filter.insert(key)
+            assert list(filt._counters) == reference._counters.tolist()
+            for key in keys:
+                assert filt.estimate(key) == reference.estimate(key)
+                assert dual.estimate(key) == dual_references[older].estimate(key)
+            filt.clear()
+            reference._counters[:] = 0
+            assert all(filt.estimate(key) == 0 for key in keys)
+            dual.rotate()
+            dual_references[older]._counters[:] = 0
+            older = 1 - older
+
+
 class TestMisraGries:
     def test_tracks_heavy_hitter(self):
         tracker = MisraGriesTracker(entries=4)
@@ -173,6 +206,54 @@ class TestPara:
         para = Para(hc_first=10, seed=0)
         mitigations = para.on_activation(0, 0, 0.0)
         assert mitigations[0].rows == (1,)
+
+
+class ReferencePara(Para):
+    """PARA's hook without its per-``(bank, row)`` memo: each victim's
+    threshold is looked up and its probability recomputed per ACT."""
+
+    def on_activation(self, bank, row, now_ns):
+        self.stats.activations_observed += 1
+        refresh_rows = []
+        for victim in self.victim_rows(row):
+            p = self.refresh_probability(self.thresholds.threshold(bank, victim))
+            if self._rng.random() < p:
+                refresh_rows.append(victim)
+        if not refresh_rows:
+            return []
+        mitigations = [VictimRefresh(bank=bank, rows=tuple(refresh_rows))]
+        self.stats.record(mitigations)
+        return mitigations
+
+
+class TestParaReference:
+    @pytest.mark.parametrize("provider", ["global", "svard"])
+    @pytest.mark.parametrize("hc_first", [64, 4096])
+    def test_matches_reference_hook(self, provider, hc_first):
+        """Same mitigations per ACT, same final RNG state and same stats
+        as the unmemoized hook, over random and edge rows of two banks
+        with repeats."""
+        thresholds = (
+            make_svard_provider(hc_first)[0] if provider == "svard" else None
+        )
+        kwargs = dict(thresholds=thresholds, rows_per_bank=2048, seed=0)
+        para = Para(hc_first, **kwargs)
+        reference = ReferencePara(hc_first, **kwargs)
+        rng = np.random.default_rng(17)
+        rows = [*rng.integers(0, 2048, size=300).tolist(), 0, 1, 2046, 2047]
+        acts = [
+            (int(bank), int(row))
+            for bank, row in zip(
+                rng.integers(0, 2, size=4000), rng.choice(rows, size=4000)
+            )
+        ]
+        for index, (bank, row) in enumerate(acts):
+            assert para.on_activation(bank, row, index * 50.0) == (
+                reference.on_activation(bank, row, index * 50.0)
+            )
+        assert para._rng.getstate() == reference._rng.getstate()
+        assert para.stats == reference.stats
+        assert para.stats.victim_refreshes > 0
 
 
 def blockhammer(hc_first, epoch=DDR4_3200.tREFW):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.sim.config import SystemConfig
+from repro.sim.engine import TraceStep
 from repro.workloads.adversarial import HydraAdversarialTrace, RrsAdversarialTrace
 from repro.workloads.mixes import (
     WorkloadMix,
@@ -58,6 +59,19 @@ class TestSyntheticTrace:
             assert 0 <= step.bank < 32
             assert 0 <= step.row < 4096
             assert step.gap_ns >= 0
+
+    def test_steps_are_trace_steps(self):
+        """Steps built with ``tuple.__new__`` are real ``TraceStep``s."""
+        trace = self.make()
+        for _ in range(300):
+            step = trace.next_step(1)
+            assert type(step) is TraceStep
+            assert step == TraceStep(
+                step.bank, step.row, step.column, step.is_write, step.gap_ns
+            )
+            assert (step.bank, step.row, step.column, step.is_write,
+                    step.gap_ns) == tuple(step)
+            assert type(step.is_write) is bool
 
     def test_deterministic(self):
         a = [self.make(seed=5).next_step(0) for _ in range(1)]
