@@ -13,7 +13,8 @@
 #   make report-smoke   two-seed recipe -> self-contained report.html,
 #                       checked for well-formedness + aggregation
 #   make kernels-smoke  tiny platform and analytic characterization, Fig 9
-#                       feature F1 and Fig 8 boundary search, kernel
+#                       feature F1, Fig 8 boundary search and ground-truth
+#                       fields (tiny module; H0, M1, S0 bank 0), kernel
 #                       paths diffed against their loop oracles (exit 1
 #                       on any mismatch)
 #   make profile-smoke  tiny sweep -> `runner profile`: every per-task

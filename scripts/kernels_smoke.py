@@ -22,7 +22,14 @@ On one tiny 128-row XOR_FOLD module (32-row subarrays), runs
   not mirrored at the other and the tie rule shows in the score;
 * Fig 8's subarray boundary search through the batched probe kernel
   and through the per-row loop oracle, then diffs the two boundary
-  lists.
+  lists;
+* the ground-truth fields of the tiny module's banks and of bank 0 of
+  H0 (``hc_max`` on a grid value), M1 (``lo`` above the 32K cut) and
+  S0 (a Table 3 module) at 512 rows, built by the counting HC_first
+  mapping and by the four-inversion oracle, byte-diffed; and, for each
+  of those marginals, the counted snapped mean of draws on every grid
+  cut, ulps beside it and inside the guard band, against the snapped
+  mean of the draws' inversions.
 
 Any mismatch is listed and the script exits 1.
 
@@ -39,6 +46,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+from scipy.special import betainc, betaincinv
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
@@ -56,6 +64,7 @@ from repro.characterization.reference import (  # noqa: E402
     characterize_bank_analytic_loop,
     characterize_bank_loop,
     find_boundary_candidates_loop,
+    generate_field_loop,
 )
 from repro.characterization.runner import (  # noqa: E402
     CharacterizationConfig,
@@ -63,8 +72,19 @@ from repro.characterization.runner import (  # noqa: E402
 )
 from repro.dram.mapping import ScramblingScheme  # noqa: E402
 from repro.faults.datapatterns import DATA_PATTERNS  # noqa: E402
-from repro.faults.modules import Manufacturer, ModuleSpec  # noqa: E402
-from repro.faults.variation import HC_128K  # noqa: E402
+from repro.faults.modules import (  # noqa: E402
+    Manufacturer,
+    ModuleSpec,
+    _stable_hash,
+    module_by_label,
+)
+from repro.faults.variation import (  # noqa: E402
+    CUT_GUARD_U,
+    HC_128K,
+    HC_GRID,
+    SpatialVariationField,
+    snapped_hc_mean,
+)
 from repro.reveng.subarray import SubarrayReverseEngineer  # noqa: E402
 
 SPEC = ModuleSpec(
@@ -137,6 +157,42 @@ def boundary_search(find) -> list:
     return find(SubarrayReverseEngineer(platform, seed=CONFIG.seed), 0)
 
 
+def field_problems(spec, rows, bank, seed) -> list:
+    """Kernel vs oracle field, both built fresh, plus the counted
+    snapped mean of near-cut draws vs their inversions' snapped mean."""
+    params = spec.variation_params(rows)
+    field_seed = seed ^ _stable_hash(spec.label)
+    kernel = SpatialVariationField._build(params, bank, field_seed)
+    loop = generate_field_loop(params, bank=bank, seed=field_seed)
+    problems = [
+        f"field {spec.label} bank {bank}: {name}"
+        for name in ("hc_first", "ber_sat", "wcdp_index")
+        if getattr(kernel, name).tobytes() != getattr(loop, name).tobytes()
+    ]
+    lo, hi = 0.9 * params.hc_min, float(params.hc_max)
+    grid = np.asarray(HC_GRID, dtype=np.float64)
+    for mean_frac in (0.1, 0.5, 0.9):
+        a = mean_frac * params.hc_concentration
+        b = (1.0 - mean_frac) * params.hc_concentration
+        cut_u = betainc(a, b, np.clip((grid[:-1] - lo) / (hi - lo), 0.0, 1.0))
+        offsets = [k * np.spacing(cut_u) for k in range(-8, 9)]
+        offsets += [np.full_like(cut_u, d * CUT_GUARD_U) for d in (-0.5, 0.5)]
+        u = np.sort(np.clip(
+            np.concatenate([cut_u + offset for offset in offsets]),
+            1e-9, 1 - 1e-9,
+        ))
+        values = lo + (hi - lo) * betaincinv(a, b, u)
+        idx = np.clip(np.searchsorted(grid, values, side="left"), 0, len(grid) - 1)
+        want = float(grid[idx].mean())
+        got = snapped_hc_mean(u, a, b, lo, hi)
+        if got != want:
+            problems.append(
+                f"snapped mean {spec.label} at mean fraction {mean_frac}: "
+                f"kernel={got!r} inversion={want!r}"
+            )
+    return problems
+
+
 def main() -> int:
     print("kernels-smoke: 128-row XOR_FOLD bank, kernel vs loop oracle")
     kernel = CharacterizationRunner(SPEC, CONFIG).characterize_bank(0)
@@ -197,6 +253,11 @@ def main() -> int:
                 )
             scored += 1
 
+    fields = [(SPEC, CONFIG.rows_per_bank, bank, CONFIG.seed) for bank in CONFIG.banks]
+    fields += [(module_by_label(label), 512, 0, 0) for label in ("H0", "M1", "S0")]
+    for field_args in fields:
+        problems += field_problems(*field_args)
+
     kernel_boundaries = boundary_search(
         SubarrayReverseEngineer.find_boundary_candidates
     )
@@ -220,6 +281,11 @@ def main() -> int:
         f"{scored} targets"
     )
     print(f"  boundary candidates identical: {kernel_boundaries}")
+    print(
+        f"  {len(fields)} ground-truth fields identical "
+        f"({', '.join(spec.label for spec, *_ in fields)}), near-cut "
+        f"snapped means identical"
+    )
     return 0
 
 

@@ -109,19 +109,19 @@ def binarize_measured(measured: np.ndarray) -> np.ndarray:
     classification (below/above the module median), which reproduces
     the published score range.  The 14-class machinery remains
     available via :func:`predict_from_feature` + :func:`f1_score_weighted`.
+
+    The threshold is the distinct value whose at-or-below fraction is
+    nearest one half, the first (smallest) one on a tie.
     """
     measured = np.asarray(measured)
-    values = np.unique(measured)
-    best_threshold = None
-    best_imbalance = 1.0
-    for threshold in values[:-1]:
-        p = float(np.mean(measured <= threshold))
-        if abs(p - 0.5) < best_imbalance:
-            best_threshold, best_imbalance = threshold, abs(p - 0.5)
-    if best_threshold is None:
+    values, counts = np.unique(measured, return_counts=True)
+    if len(values) < 2:
         # Degenerate: every row measured identical; no weak half exists.
         return np.zeros(len(measured), dtype=np.int8)
-    return (measured <= best_threshold).astype(np.int8)
+    # count / n is the float ``np.mean(measured <= threshold)`` gives.
+    at_or_below = np.cumsum(counts[:-1]) / len(measured)
+    threshold = values[np.argmin(np.abs(at_or_below - 0.5))]
+    return (measured <= threshold).astype(np.int8)
 
 
 def f1_micro(actual: np.ndarray, predicted: np.ndarray) -> float:

@@ -39,6 +39,14 @@ def _bits_needed(max_value: int) -> int:
     return max(1, int(max_value).bit_length())
 
 
+#: Per-process memo of :func:`extract_features`, keyed by its three
+#: arguments, which alone fix the matrix.  Its arrays are read-only, and
+#: each call gets its own copy of the feature list.
+_FEATURE_MEMO: Dict[
+    tuple, Tuple[Tuple[SpatialFeature, ...], np.ndarray, np.ndarray]
+] = {}
+
+
 def extract_features(
     rows_per_bank: int,
     subarray_rows: int,
@@ -50,7 +58,22 @@ def extract_features(
     one sample per (bank, row) and one binary column per feature, in
     the order of ``features``.  Samples are ordered bank-major, row
     within bank, matching how per-bank measured arrays concatenate.
+    Repeated calls with the same arguments share the (read-only)
+    arrays.
     """
+    key = (rows_per_bank, subarray_rows, tuple(banks))
+    if key not in _FEATURE_MEMO:
+        features, matrix, bank_of_sample = _build_features(*key)
+        matrix.flags.writeable = False
+        bank_of_sample.flags.writeable = False
+        _FEATURE_MEMO[key] = (tuple(features), matrix, bank_of_sample)
+    features, matrix, bank_of_sample = _FEATURE_MEMO[key]
+    return list(features), matrix, bank_of_sample
+
+
+def _build_features(
+    rows_per_bank: int, subarray_rows: int, banks: Tuple[int, ...]
+) -> Tuple[List[SpatialFeature], np.ndarray, np.ndarray]:
     if rows_per_bank < 1 or subarray_rows < 1 or not banks:
         raise ValueError("invalid geometry for feature extraction")
     rows = np.arange(rows_per_bank)

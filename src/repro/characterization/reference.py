@@ -1,7 +1,11 @@
 """Loop-reference oracles for the batched measurement kernels.
 
-This module preserves three original paths:
+This module preserves four original paths:
 
+* the HC_first marginal mapping: four full Beta inversions per field,
+  the first three only to calibrate a grid-snapped mean, which the
+  counting :meth:`SpatialVariationField._map_to_hc_distribution` (over
+  :func:`repro.faults.variation.snapped_hc_mean`) must match;
 * the Algorithm 1 loop: one
   :meth:`repro.bender.TestPlatform.measure_ber` call per (row, pattern,
   hammer count, iteration), which the vectorized
@@ -29,6 +33,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
+from scipy.special import betaincinv, ndtr
 
 from repro.characterization.runner import (
     ITERATION_BER_SIGMA,
@@ -42,8 +47,59 @@ from repro.faults.disturbance import (
     DisturbanceModel,
     rowpress_multiplier,
 )
-from repro.faults.variation import HC_128K
+from repro.faults.variation import (
+    HC_128K,
+    HC_GRID,
+    SpatialVariationField,
+    VariationFieldParams,
+)
 from repro.reveng.subarray import SubarrayReverseEngineer
+
+
+def map_to_hc_distribution_loop(
+    params: VariationFieldParams, latent: np.ndarray
+) -> np.ndarray:
+    """The HC_first marginal mapping with one full inversion per pass.
+
+    Each of the four calibration passes inverts every draw and snaps
+    the values to the grid; only the last pass's values are kept.
+    """
+    lo = 0.9 * params.hc_min
+    hi = float(params.hc_max)
+    u = ndtr(latent)
+    u = np.clip(u, 1e-9, 1 - 1e-9)
+    c = params.hc_concentration
+    # Table 5 reports the mean of *grid-measured* values, which a
+    # grid snap biases upward; calibrate the continuous mean so the
+    # snapped mean lands on the published average.
+    target = float(params.hc_avg)
+    mean_frac = np.clip((target - lo) / (hi - lo), 0.02, 0.98)
+    values = np.empty_like(u)
+    grid = np.asarray(HC_GRID, dtype=np.float64)
+    for _ in range(4):
+        a, b = mean_frac * c, (1.0 - mean_frac) * c
+        values = lo + (hi - lo) * betaincinv(a, b, u)
+        idx = np.clip(
+            np.searchsorted(grid, values, side="left"), 0, len(grid) - 1
+        )
+        snapped_mean = float(grid[idx].mean())
+        correction = target / max(snapped_mean, 1e-9)
+        mean_frac = np.clip(mean_frac * correction, 0.02, 0.98)
+    return values
+
+
+class _LoopField(SpatialVariationField):
+    _map_to_hc_distribution = staticmethod(map_to_hc_distribution_loop)
+
+
+def generate_field_loop(
+    params: VariationFieldParams, *, bank: int = 0, seed: int = 0
+) -> SpatialVariationField:
+    """:meth:`SpatialVariationField.generate` through the loop mapping.
+
+    Built fresh on every call, never through the field memo.
+    """
+    return _LoopField._build(params, bank, seed)
 
 
 def characterize_bank_loop(

@@ -52,13 +52,6 @@ class BlockHammer(Defense):
         self._n_hashes = n_hashes
         self._last_act_ns: Dict[Tuple[int, int], float] = {}
 
-    def _filter(self, bank: int) -> DualCountingBloomFilter:
-        if bank not in self._filters:
-            self._filters[bank] = DualCountingBloomFilter(
-                self._n_counters, self._n_hashes, self.seed + bank
-            )
-        return self._filters[bank]
-
     def minimum_gap_ns(self, threshold: float) -> float:
         """Enforced ACT-to-ACT gap for a blacklisted row."""
         quota = max(1.0, self.quota_fraction * threshold)
@@ -66,22 +59,26 @@ class BlockHammer(Defense):
 
     def on_activation(self, bank: int, row: int, now_ns: float) -> List[Mitigation]:
         self.stats.activations_observed += 1
-        filt = self._filter(bank)
+        filt = self._filters.get(bank)
+        if filt is None:
+            filt = self._filters[bank] = DualCountingBloomFilter(
+                self._n_counters, self._n_hashes, self.seed + bank
+            )
         filt.insert(row)
         count = filt.estimate(row)
         threshold = self.min_victim_threshold(bank, row)
-        mitigations: List[Mitigation] = []
         if count > self.blacklist_fraction * threshold:
             gap = self.minimum_gap_ns(threshold)
             last = self._last_act_ns.get((bank, row), -gap)
             delay = max(0.0, gap - (now_ns - last))
-            if delay > 0:
-                mitigations.append(ThrottleDelay(delay_ns=delay))
             self._last_act_ns[(bank, row)] = now_ns + delay
+            if delay > 0:
+                mitigations: List[Mitigation] = [ThrottleDelay(delay_ns=delay)]
+                self.stats.record(mitigations)
+                return mitigations
         else:
             self._last_act_ns[(bank, row)] = now_ns
-        self.stats.record(mitigations)
-        return mitigations
+        return []
 
     def on_refresh_window(self, now_ns: float) -> None:
         for filt in self._filters.values():

@@ -27,6 +27,7 @@ from repro.experiments.api import (
 )
 from repro.experiments.common import (
     ExperimentScale,
+    _memo_key,
     absorb_characterizations,
     characterization_groups,
     characterize,
@@ -35,6 +36,12 @@ from repro.faults.modules import module_by_label
 
 #: The figure sweeps thresholds 0.0 .. 1.0 in steps of 0.1.
 F1_THRESHOLDS: Tuple[float, ...] = tuple(round(t / 10, 1) for t in range(11))
+
+#: Per-process memo of each module's feature correlations, keyed like
+#: the characterization they score, so Table 3 reuses Fig 9's scoring.
+#: The correlations are a pure function of that characterization and
+#: the module's geometry, which its label and row count fix.
+_CORRELATIONS: Dict[tuple, Tuple[FeatureCorrelation, ...]] = {}
 
 TITLE = "Fig 9: fraction of spatial features above F1 threshold"
 
@@ -127,20 +134,29 @@ def result_set(result: Fig9Result) -> ResultSet:
     )
 
 
-def run(scale: ExperimentScale = ExperimentScale()) -> Fig9Result:
-    fractions: Dict[str, Dict[float, float]] = {}
-    correlations: Dict[str, List[FeatureCorrelation]] = {}
-    for label in scale.modules:
-        spec = module_by_label(label)
+def module_correlations(
+    label: str, scale: ExperimentScale
+) -> List[FeatureCorrelation]:
+    """Every feature's F1 against one module's measured HC_first."""
+    key = _memo_key(label, scale, 36.0)
+    if key not in _CORRELATIONS:
         chars = characterize(label, scale)
         measured = np.concatenate(
             [chars.banks[bank].measured_hc_first for bank in sorted(chars.banks)]
         )
-        params = spec.variation_params(scale.rows_for(label))
+        params = module_by_label(label).variation_params(scale.rows_for(label))
         features, matrix, _ = extract_features(
             scale.rows_for(label), params.subarray_rows, tuple(sorted(chars.banks))
         )
-        result = correlate_features(features, matrix, measured)
+        _CORRELATIONS[key] = tuple(correlate_features(features, matrix, measured))
+    return list(_CORRELATIONS[key])
+
+
+def run(scale: ExperimentScale = ExperimentScale()) -> Fig9Result:
+    fractions: Dict[str, Dict[float, float]] = {}
+    correlations: Dict[str, List[FeatureCorrelation]] = {}
+    for label in scale.modules:
+        result = module_correlations(label, scale)
         correlations[label] = result
         f1s = np.array([c.f1 for c in result])
         fractions[label] = {

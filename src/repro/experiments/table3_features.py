@@ -28,7 +28,7 @@ from repro.experiments.common import (
     absorb_characterizations,
     characterization_groups,
 )
-from repro.experiments.fig9_spatial_features import run as run_fig9
+from repro.experiments.fig9_spatial_features import module_correlations
 
 #: Paper's Table 3: per-module average F1 of strong features.
 PAPER_TABLE3_F1 = {"S0": 0.77, "S1": 0.71, "S3": 0.75, "S4": 0.76}
@@ -110,10 +110,9 @@ def result_set(result: Table3Result) -> ResultSet:
 
 
 def run(scale: ExperimentScale = ExperimentScale()) -> Table3Result:
-    fig9 = run_fig9(scale)
     strong = {
-        label: strong_features(correlations)
-        for label, correlations in fig9.correlations.items()
+        label: strong_features(module_correlations(label, scale))
+        for label in scale.modules
     }
     return Table3Result(strong=strong)
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
-from scipy.special import betaincinv, ndtr
+from scipy.special import betainc, betaincinv, ndtr
 
 from repro.faults.datapatterns import WCDP_CANDIDATES
 
@@ -36,11 +36,53 @@ HC_GRID: Tuple[int, ...] = tuple(
 
 HC_128K: int = 128 * 1024
 
+#: Half-width, in Beta-CDF units, of the band around each grid cut in
+#: which :func:`snapped_hc_mean` inverts draws instead of counting them.
+#: ``betainc`` and ``betaincinv`` agree to about 1e-15, so a draw
+#: farther than this from a cut's CDF value lands on the side that
+#: value says; at 512 rows the band catches about 0.01 draws per pass.
+CUT_GUARD_U = 1e-6
+
+#: A value snaps up to ``HC_GRID[0]`` plus one grid step per cut below
+#: it; the snap caps at the last grid value, so that one is no cut.
+_CUTS = np.asarray(HC_GRID[:-1], dtype=np.float64)
+_CUT_STEPS = np.diff(HC_GRID)
+
 #: Per-process memo of generated fields, keyed by ``generate``'s full
 #: argument tuple ``(params, bank, seed)``.  A field is a pure function
 #: of that key, so the memo changes timing, never results; its arrays
 #: are read-only so no consumer can alter a field another one shares.
 _FIELD_MEMO: Dict[tuple, "SpatialVariationField"] = {}
+
+
+def snapped_hc_mean(
+    u_sorted: np.ndarray, a: float, b: float, lo: float, hi: float
+) -> float:
+    """Grid-snapped mean of ``lo + (hi - lo) * betaincinv(a, b, u)``.
+
+    Equal, float for float, to ``float(HC_GRID[idx].mean())`` with
+    ``idx`` the grid's ``searchsorted(..., side="left")`` of those
+    values clipped to the grid, but it inverts almost no draw.  A
+    value lands above cut ``g`` exactly when its draw lands above
+    ``betainc(a, b, (g - lo) / (hi - lo))``, because the inverse is
+    monotone, so one forward ``betainc`` per cut and one
+    ``searchsorted`` over the sorted draws count the values above
+    each cut.  Draws within :data:`CUT_GUARD_U` of a cut's CDF value
+    are inverted and compared as the values themselves.  The snapped
+    sum is an integer below 2**53, so it is exact in any order and
+    the mean is the same division.
+    """
+    n = len(u_sorted)
+    # A cut below ``lo`` sits at CDF 0 and one at ``hi`` at CDF 1; the
+    # band around them decides the few draws that close to the edges.
+    cut_u = betainc(a, b, np.clip((_CUTS - lo) / (hi - lo), 0.0, 1.0))
+    start = np.searchsorted(u_sorted, cut_u - CUT_GUARD_U, side="left")
+    stop = np.searchsorted(u_sorted, cut_u + CUT_GUARD_U, side="right")
+    above = n - stop
+    for k in np.flatnonzero(stop > start):
+        band = lo + (hi - lo) * betaincinv(a, b, u_sorted[start[k] : stop[k]])
+        above[k] += np.count_nonzero(band > _CUTS[k])
+    return (n * HC_GRID[0] + int(np.dot(_CUT_STEPS, above))) / n
 
 
 @dataclass(frozen=True)
@@ -207,29 +249,30 @@ class SpatialVariationField:
         ``[0.9 * hc_min, hc_max]`` with its mean at ``hc_avg``; the 0.9
         factor leaves room below the lowest grid value so that rows
         measured at ``hc_min`` on the discrete grid actually exist.
+
+        Three calibration passes only need the snapped mean, which
+        :func:`snapped_hc_mean` counts; the fourth inverts every draw.
+        ``repro.characterization.reference.map_to_hc_distribution_loop``
+        is the four-inversion oracle.
         """
         lo = 0.9 * params.hc_min
         hi = float(params.hc_max)
         u = ndtr(latent)
         u = np.clip(u, 1e-9, 1 - 1e-9)
+        u_sorted = np.sort(u)
         c = params.hc_concentration
         # Table 5 reports the mean of *grid-measured* values, which a
         # grid snap biases upward; calibrate the continuous mean so the
         # snapped mean lands on the published average.
         target = float(params.hc_avg)
         mean_frac = np.clip((target - lo) / (hi - lo), 0.02, 0.98)
-        values = np.empty_like(u)
-        grid = np.asarray(HC_GRID, dtype=np.float64)
-        for _ in range(4):
+        for _ in range(3):
             a, b = mean_frac * c, (1.0 - mean_frac) * c
-            values = lo + (hi - lo) * betaincinv(a, b, u)
-            idx = np.clip(
-                np.searchsorted(grid, values, side="left"), 0, len(grid) - 1
-            )
-            snapped_mean = float(grid[idx].mean())
+            snapped_mean = snapped_hc_mean(u_sorted, a, b, lo, hi)
             correction = target / max(snapped_mean, 1e-9)
             mean_frac = np.clip(mean_frac * correction, 0.02, 0.98)
-        return values
+        a, b = mean_frac * c, (1.0 - mean_frac) * c
+        return lo + (hi - lo) * betaincinv(a, b, u)
 
     @staticmethod
     def _feature_term(params: VariationFieldParams, n: int) -> np.ndarray:

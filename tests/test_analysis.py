@@ -18,6 +18,8 @@ from repro.analysis.correlation import (
     strong_features,
 )
 from repro.analysis.features import SpatialFeature, extract_features
+from repro.experiments import fig9_spatial_features, table3_features
+from repro.experiments.common import ExperimentScale
 from repro.faults.modules import FEATURE_CORRELATED_MODULES, MODULES, module_by_label
 from repro.faults.variation import HC_GRID
 
@@ -237,6 +239,17 @@ class TestFeatureExtraction:
         with pytest.raises(ValueError):
             extract_features(0, 64, (1,))
 
+    def test_memoized_matrix_is_read_only_and_list_unshared(self):
+        features, matrix, banks = extract_features(256, 64, (1, 4))
+        with pytest.raises(ValueError):
+            matrix[0, 0] = 1
+        with pytest.raises(ValueError):
+            banks[0] = 0
+        features.clear()
+        again, matrix_again, _ = extract_features(256, 64, (1, 4))
+        assert matrix_again is matrix
+        assert len(again) == matrix.shape[1]
+
 
 def loop_confusion_matrix(actual, predicted):
     """Reference confusion matrix: count one sample at a time."""
@@ -309,6 +322,34 @@ class TestF1Machinery:
         target = binarize_measured(measured)
         assert len(np.unique(target)) == 1
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 511, 512])
+    def test_binarize_matches_threshold_loop(self, n):
+        """The one-pass split equals the per-threshold loop on grid and
+        continuous values, all-equal and two-valued inputs, odd and
+        even lengths; ties between thresholds go to the first."""
+        rng = np.random.default_rng(n)
+        grid = np.asarray(HC_GRID)
+        cases = [
+            grid[rng.integers(0, len(grid), n)],
+            grid[rng.integers(3, 6, n)],
+            rng.random(n) * 1e-2,
+            np.full(n, 7.5),
+            np.where(rng.random(n) < 0.5, 3, 9),
+            np.arange(n)[::-1],
+        ]
+        for measured in cases:
+            got = binarize_measured(measured)
+            want = loop_binarize_measured(measured)
+            assert got.dtype == want.dtype
+            assert got.tolist() == want.tolist(), measured
+
+    def test_binarize_tie_goes_to_first_threshold(self):
+        # Thresholds 1 and 2 leave a quarter and three quarters of the
+        # rows at or below them, equally far from half: 1, the first, wins.
+        measured = np.array([1, 2, 2, 3])
+        assert binarize_measured(measured).tolist() == [1, 0, 0, 0]
+        assert loop_binarize_measured(measured).tolist() == [1, 0, 0, 0]
+
     def test_fraction_above_threshold(self):
         correlations = [
             FeatureCorrelation(SpatialFeature("row", b), f1)
@@ -332,6 +373,21 @@ def measured_for(label, rows=2048, banks=(1, 4)):
     params = spec.variation_params(rows)
     features, matrix, _ = extract_features(rows, params.subarray_rows, banks)
     return features, matrix, measured
+
+
+def loop_binarize_measured(measured):
+    """The per-threshold scan ``binarize_measured`` replaced."""
+    measured = np.asarray(measured)
+    values = np.unique(measured)
+    best_threshold = None
+    best_imbalance = 1.0
+    for threshold in values[:-1]:
+        p = float(np.mean(measured <= threshold))
+        if abs(p - 0.5) < best_imbalance:
+            best_threshold, best_imbalance = threshold, abs(p - 0.5)
+    if best_threshold is None:
+        return np.zeros(len(measured), dtype=np.int8)
+    return (measured <= best_threshold).astype(np.int8)
 
 
 def loop_feature_macro_f1(matrix, target):
@@ -420,6 +476,27 @@ class TestFeatureMacroF1:
         features, matrix, _ = extract_features(256, 64, (1,))
         correlations = correlate_features(features, matrix, np.full(256, 42))
         assert [c.f1 for c in correlations] == [0.5] * len(features)
+
+
+class TestCorrelationMemo:
+    def test_table3_reuses_fig9_scoring(self, monkeypatch):
+        """Fig 9 then Table 3 in one process score each module once."""
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return correlate_features(*args)
+
+        monkeypatch.setattr(fig9_spatial_features, "_CORRELATIONS", {})
+        monkeypatch.setattr(fig9_spatial_features, "correlate_features", counting)
+        scale = ExperimentScale(rows_per_bank=512, banks=(1, 4), seed=26)
+        fig9 = fig9_spatial_features.run(scale)
+        table3 = table3_features.run(scale)
+        assert len(calls) == len(scale.modules) == 15
+        assert table3.strong == {
+            label: strong_features(correlations)
+            for label, correlations in fig9.correlations.items()
+        }
 
 
 class TestTakeaway6:

@@ -2,13 +2,15 @@
 
 The batched hot paths (``materialize_bank``, ``measure_ber_bank``, the
 batched platform characterization, the one-call-per-bank analytic
-sweep, ``single_sided_disturbs_bank`` and Fig 8's boundary search) must
-be *bit-for-bit* equal to the per-row/per-victim/per-curve paths they
-replaced -- not approximately equal -- because the sha256 task cache
-and the golden files both key on exact bytes.  Those paths survive as
+sweep, ``single_sided_disturbs_bank``, Fig 8's boundary search and the
+counting HC_first field mapping) must be *bit-for-bit* equal to the
+per-row/per-victim/per-curve/per-draw paths they replaced -- not
+approximately equal -- because the sha256 task cache and the golden
+files both key on exact bytes.  Those paths survive as
 :func:`repro.characterization.reference.characterize_bank_loop`,
-:func:`repro.characterization.reference.characterize_bank_analytic_loop`
-and :func:`repro.characterization.reference.find_boundary_candidates_loop`
+:func:`repro.characterization.reference.characterize_bank_analytic_loop`,
+:func:`repro.characterization.reference.find_boundary_candidates_loop`
+and :func:`repro.characterization.reference.generate_field_loop`
 purely to serve as the oracles here and in the ``make test`` smoke;
 ``TestPlatform.single_sided_disturbs`` is the per-probe reference.
 
@@ -22,6 +24,7 @@ import pickle
 
 import numpy as np
 import pytest
+from scipy.special import betainc, betaincinv
 
 from tests.conftest import make_tiny_spec
 from repro.characterization.reference import (
@@ -29,6 +32,8 @@ from repro.characterization.reference import (
     characterize_bank_analytic_loop,
     characterize_bank_loop,
     find_boundary_candidates_loop,
+    generate_field_loop,
+    map_to_hc_distribution_loop,
 )
 from repro.characterization.runner import (
     BankProfile,
@@ -36,10 +41,18 @@ from repro.characterization.runner import (
     CharacterizationRunner,
 )
 from repro.bender.infrastructure import TestPlatform
+from repro.dram.geometry import REPRESENTATIVE_BANKS
 from repro.dram.mapping import ScramblingScheme
 from repro.faults.datapatterns import DATA_PATTERNS, DataPattern
 from repro.faults.disturbance import BER_OVERSHOOT_CAP, DisturbanceModel
-from repro.faults.modules import module_by_label
+from repro.faults.modules import MODULES, _stable_hash, module_by_label
+from repro.faults.variation import (
+    CUT_GUARD_U,
+    HC_GRID,
+    SpatialVariationField,
+    VariationFieldParams,
+    snapped_hc_mean,
+)
 from repro.reveng.subarray import SubarrayReverseEngineer
 
 GRID = (16, 24, 32, 48, 64, 96, 160)
@@ -398,3 +411,111 @@ class TestMeasurementPathRegressions:
             affinity=1.6,
         )
         assert targets.tolist() == [model.row_bits]
+
+
+def assert_fields_identical(label, rows, bank, seed):
+    """The counting field and the four-inversion oracle, both built
+    fresh (not through the field memo), byte for byte."""
+    params = module_by_label(label).variation_params(rows)
+    field_seed = seed ^ _stable_hash(label)
+    kernel = SpatialVariationField._build(params, bank, field_seed)
+    loop = generate_field_loop(params, bank=bank, seed=field_seed)
+    for name in ("hc_first", "ber_sat", "wcdp_index"):
+        got, want = getattr(kernel, name), getattr(loop, name)
+        assert got.dtype == want.dtype, name
+        assert got.tobytes() == want.tobytes(), (label, rows, bank, seed, name)
+
+
+def snapped_mean_by_inversion(u, a, b, lo, hi):
+    """One loop pass's snapped mean: invert every draw, snap, average."""
+    grid = np.asarray(HC_GRID, dtype=np.float64)
+    values = lo + (hi - lo) * betaincinv(a, b, u)
+    idx = np.clip(np.searchsorted(grid, values, side="left"), 0, len(grid) - 1)
+    return float(grid[idx].mean())
+
+
+def near_cut_draws(a, b, lo, hi):
+    """Sorted draws on every cut's CDF value, a few ulps to either side
+    of it (where ``betainc`` and ``betaincinv`` disagree), inside the
+    guard band and just outside it."""
+    cuts = np.asarray(HC_GRID[:-1], dtype=np.float64)
+    cut_u = betainc(a, b, np.clip((cuts - lo) / (hi - lo), 0.0, 1.0))
+    offsets = [k * np.spacing(cut_u) for k in range(-8, 9)]
+    offsets += [
+        np.full_like(cut_u, sign * fraction * CUT_GUARD_U)
+        for sign in (-1, 1)
+        for fraction in (0.1, 0.5, 0.9, 2.0)
+    ]
+    draws = np.concatenate([cut_u + offset for offset in offsets])
+    return np.sort(np.clip(draws, 1e-9, 1 - 1e-9))
+
+
+class TestFieldKernel:
+    """The HC_first marginal mapping counts three calibration passes'
+    draws per grid cut instead of inverting them; every field must stay
+    byte-identical to the four-inversion oracle."""
+
+    @pytest.mark.parametrize("label", sorted(MODULES))
+    def test_module_fields_match_oracle(self, label):
+        for rows in (512, 1024):
+            for seed in (0, 1, 2):
+                for bank in REPRESENTATIVE_BANKS:
+                    assert_fields_identical(label, rows, bank, seed)
+
+    def test_large_field_matches_oracle(self):
+        assert_fields_identical("H0", 8192, 1, 0)
+
+    def test_random_params_match_oracle(self):
+        """Random marginals, with the edge cases counted so the draw is
+        known to reach them: a Beta shape below 1, ``hc_max`` on a grid
+        value (a cut at ``hi``) and ``hc_avg`` at ``hc_min``."""
+        rng = np.random.default_rng(26)
+        seen = dict(shape_below_1=0, hc_max_on_grid=0, avg_at_min=0)
+        for _ in range(240):
+            hc_min = int(rng.integers(1, 120_000))
+            if rng.random() < 0.3:
+                hc_max = max(int(rng.choice(HC_GRID)), hc_min + 1)
+            else:
+                hc_max = int(rng.integers(hc_min + 1, 140_000))
+            if rng.random() < 0.15:
+                hc_avg = hc_min
+            else:
+                hc_avg = int(rng.integers(hc_min, hc_max + 1))
+            params = VariationFieldParams(
+                rows_per_bank=int(rng.integers(2, 1500)),
+                hc_min=hc_min, hc_avg=hc_avg, hc_max=hc_max,
+                ber_mean=1e-2, ber_cv_pct=3.0,
+                hc_concentration=float(rng.uniform(0.5, 15.0)),
+            )
+            lo, hi = 0.9 * hc_min, float(hc_max)
+            frac = np.clip((hc_avg - lo) / (hi - lo), 0.02, 0.98)
+            c = params.hc_concentration
+            seen["shape_below_1"] += min(frac * c, (1 - frac) * c) < 1
+            seen["hc_max_on_grid"] += hc_max in HC_GRID
+            seen["avg_at_min"] += hc_avg == hc_min
+            latent = rng.standard_normal(params.rows_per_bank)
+            got = SpatialVariationField._map_to_hc_distribution(params, latent)
+            want = map_to_hc_distribution_loop(params, latent)
+            assert got.tobytes() == want.tobytes(), params
+        assert min(seen.values()) >= 10, seen
+
+    @pytest.mark.parametrize("label", ["H0", "M1", "S0", "M0"])
+    @pytest.mark.parametrize("mean_frac", [0.02, 0.1, 0.5, 0.9, 0.98])
+    def test_helper_near_cuts_matches_inversion(self, label, mean_frac):
+        """Draws exactly on a cut, ulps beside it and inside the guard
+        band: the count equals the snapped mean of the inversions.  H0
+        has ``hc_max`` on a grid value, M1 ``lo`` above the 32K cut."""
+        params = module_by_label(label).variation_params(512)
+        lo, hi = 0.9 * params.hc_min, float(params.hc_max)
+        c = params.hc_concentration
+        a, b = mean_frac * c, (1.0 - mean_frac) * c
+        u = near_cut_draws(a, b, lo, hi)
+        assert snapped_hc_mean(u, a, b, lo, hi) == snapped_mean_by_inversion(
+            u, a, b, lo, hi
+        )
+        # Each draw alone, so no two misplaced draws can cancel out.
+        for draw in u:
+            one = np.asarray([draw])
+            assert snapped_hc_mean(one, a, b, lo, hi) == (
+                snapped_mean_by_inversion(one, a, b, lo, hi)
+            ), draw
