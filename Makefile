@@ -3,7 +3,8 @@
 #
 #   make test           tier-1 test suite + report smoke + queue chaos
 #                       smoke + kernels smoke + profile smoke +
-#                       conformance smoke + examples smoke (CI gate)
+#                       conformance smoke + examples smoke + recipes
+#                       smoke (CI gate)
 #   make smoke          runner `list` + every experiment at tiny scale (JSON)
 #   make recipes-smoke  every checked-in recipe at tiny scale on the queue
 #                       backend (1 worker), byte-diffed against serial
@@ -56,6 +57,7 @@ test:
 	$(MAKE) profile-smoke
 	$(MAKE) conformance-smoke
 	$(MAKE) examples-smoke
+	$(MAKE) recipes-smoke
 
 report-smoke:
 	$(PYTHON) scripts/report_smoke.py

@@ -17,7 +17,7 @@ from repro.characterization.runner import (
 from repro.core.profile import VulnerabilityProfile
 from repro.core.svard import Svard
 from repro.defenses.base import Defense, SvardThresholds, ThresholdProvider
-from repro.dram.geometry import REPRESENTATIVE_BANKS
+from repro.dram.geometry import REPRESENTATIVE_BANKS, DramGeometry
 from repro.dram.timing import device_for
 from repro.faults.modules import MODULES, module_by_label
 from repro.orchestration import (
@@ -115,6 +115,19 @@ class ExperimentScale:
     def __post_init__(self) -> None:
         if self.rows_per_bank < 64:
             raise ValueError("rows_per_bank too small to be meaningful")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        for name in ("n_mixes", "requests_per_core"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive")
+        if not self.banks:
+            raise ValueError("banks must not be empty")
+        banks_per_rank = DramGeometry().banks_per_rank
+        for bank in self.banks:
+            if not 0 <= bank < banks_per_rank:
+                raise ValueError(
+                    f"bank {bank} out of range [0, {banks_per_rank})"
+                )
         for label in self.modules:
             module_by_label(label)
         for label in self.svard_profiles:

@@ -27,6 +27,9 @@ the runner holds no per-figure code.  Each experiment may declare
 ``quick_overrides`` -- reduced-grid scale defaults that keep the full
 suite interactive; explicit scale flags and ``--full`` win over them.
 
+Every subcommand is one :class:`Command` in :data:`COMMANDS`, the
+table ``main``, ``--help-all`` and the usage lines read.
+
 Execution is pluggable (``--backend serial|process|queue``):
 ``process`` fans tasks out over ``--jobs`` local worker processes;
 ``queue`` publishes them into a file-based job queue
@@ -43,9 +46,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from repro.experiments.api import (
     ExperimentError,
@@ -89,6 +92,8 @@ from repro.orchestration import (
 from repro.orchestration.backends import DEFAULT_LEASE_TIMEOUT
 from repro.orchestration.jobqueue import JobQueue
 from repro.orchestration.worker import stderr_log
+
+_PROG = "python -m repro.experiments.runner"
 
 #: CLI flag dests that map 1:1 onto ``ExperimentScale`` field names.
 _SCALE_FLAGS = (
@@ -196,11 +201,31 @@ def _validate_execution_flags(parser, args) -> None:
             parser.error("--chunk-size must be at least 1")
 
 
-def _run_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments.runner run",
-        description="Regenerate the paper's figures and tables.",
-    )
+def _comma_list(convert, what: str):
+    """An argparse ``type=``: ``"a,b"`` -> a tuple of distinct values."""
+    def parse(text: str) -> tuple:
+        try:
+            values = tuple(convert(part) for part in text.split(","))
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"must be comma-separated {what}, got {text!r}"
+            )
+        if len(set(values)) != len(values):
+            raise argparse.ArgumentTypeError(f"contains duplicates: {values}")
+        return values
+    return parse
+
+
+def _device_spec(text: str) -> str:
+    """An argparse ``type=``: a device spec ``device_for`` resolves."""
+    try:
+        device_for(text)
+    except ValueError as error:
+        raise argparse.ArgumentTypeError(str(error))
+    return text
+
+
+def _run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "names", nargs="*", metavar="EXPERIMENT",
         help="experiments to run (default: every registered experiment; "
@@ -230,15 +255,18 @@ def _run_parser() -> argparse.ArgumentParser:
         help="override ExperimentScale.rows_per_bank",
     )
     parser.add_argument(
-        "--banks", default=None, metavar="B0,B1,...",
+        "--banks", type=_comma_list(int, "integers"), default=None,
+        metavar="B0,B1,...",
         help="override ExperimentScale.banks (comma-separated indices)",
     )
     parser.add_argument(
-        "--modules", default=None, metavar="M0,M1,...",
+        "--modules", type=_comma_list(str, "labels"), default=None,
+        metavar="M0,M1,...",
         help="override ExperimentScale.modules (comma-separated labels)",
     )
     parser.add_argument(
-        "--t-agg-on", dest="t_agg_on_sweep_ns", default=None,
+        "--t-agg-on", dest="t_agg_on_sweep_ns",
+        type=_comma_list(float, "numbers"), default=None,
         metavar="NS0,NS1,...",
         help="override ExperimentScale.t_agg_on_sweep_ns, the RowPress "
              "tAggOn sweep points in ns (fig7; default 36,500,2000)",
@@ -249,48 +277,12 @@ def _run_parser() -> argparse.ArgumentParser:
              "instead of the uniform --rows-per-bank",
     )
     parser.add_argument(
-        "--device", default=None, metavar="SPEC",
+        "--device", type=_device_spec, default=None, metavar="SPEC",
         help="override ExperimentScale.device: run the performance "
              "experiments on a device-generation preset (DDR4-3200, "
              "LPDDR4-3200, DDR5-4800, ...; default: the paper's "
              "DDR4-3200)",
     )
-    return parser
-
-
-def _parse_run_args(argv) -> argparse.Namespace:
-    parser = _run_parser()
-    args = parser.parse_args(argv)
-    _validate_execution_flags(parser, args)
-    if args.banks is not None:
-        try:
-            args.banks = tuple(int(part) for part in args.banks.split(","))
-        except ValueError:
-            parser.error(
-                f"--banks must be comma-separated integers, got {args.banks!r}"
-            )
-        if len(set(args.banks)) != len(args.banks):
-            parser.error(f"--banks contains duplicates: {args.banks}")
-    if args.modules is not None:
-        args.modules = tuple(args.modules.split(","))
-        if len(set(args.modules)) != len(args.modules):
-            parser.error(f"--modules contains duplicates: {args.modules}")
-    if args.t_agg_on_sweep_ns is not None:
-        try:
-            args.t_agg_on_sweep_ns = tuple(
-                float(part) for part in args.t_agg_on_sweep_ns.split(",")
-            )
-        except ValueError:
-            parser.error(
-                "--t-agg-on must be comma-separated numbers, got "
-                f"{args.t_agg_on_sweep_ns!r}"
-            )
-    if args.device is not None:
-        try:
-            device_for(args.device)
-        except ValueError as error:
-            parser.error(str(error))
-    return args
 
 
 def _progress_line(done: int, total: int, key) -> None:
@@ -327,84 +319,128 @@ def build_context(args: argparse.Namespace) -> OrchestrationContext:
     )
 
 
-def _print_orchestration_stats(orch: OrchestrationContext) -> None:
-    if not orch.stats.submitted:
-        return
-    where = (
-        f"cache at {orch.cache.directory}"
-        if orch.cache is not None
-        else "cache disabled"
-    )
-    print(
-        f"[orchestration] {orch.stats.submitted} tasks: "
-        f"{orch.stats.hits} cache hits, "
-        f"{orch.stats.executed} executed "
-        f"(backend: {orch.backend.describe()}, {where})",
-        file=sys.stderr,
-    )
+@dataclass(frozen=True)
+class _Cell:
+    """One experiment run of ``run`` or ``recipe run``.
 
-
-def _emit_result_set(
-    result_set, renderer, format_name: str, out_dir: Optional[Path],
-    json_documents: List[dict], html_sections: List,
-) -> None:
-    """Render one ResultSet to stdout or ``out_dir``.
-
-    Shared by ``run`` and ``recipe run``.  In json- and html-to-stdout
-    modes the ResultSets are collected and flushed as **one** document
-    after the loop (14 concatenated HTML pages are not a loadable
-    page).
+    The fields from ``banner`` on are what ``recipe run`` adds: its
+    stderr line, the ``[device]`` title suffix, ``meta.recipe`` and
+    whether ``--report`` keeps the ResultSet.
     """
-    if out_dir is not None:
-        paths = renderer.write(result_set, out_dir)
-        for path in paths:
-            print(f"wrote {path}")
-        if not paths:
-            print(
-                f"{result_set.experiment}: nothing to write for format "
-                f"{format_name!r}"
+
+    experiment: str
+    scale: ExperimentScale
+    label: str  # names the cell in its error line and failure summary
+    out_dir: Optional[Path]  # None renders to stdout
+    banner: Optional[str] = None
+    title_suffix: str = ""
+    recipe: Optional[dict] = None
+    keep: bool = False
+
+
+def _run_cells(
+    args, cells: List[_Cell], noun: str
+) -> Tuple[int, List[tuple]]:
+    """Run, stamp and emit every cell on one orchestration context.
+
+    The one loop behind ``run`` and ``recipe run``.  A backend failure
+    aborts the rest; an experiment error fails only its cell.  In
+    json- and html-to-stdout modes stdout is **one** document, printed
+    after the loop (14 concatenated HTML pages are not a loadable
+    page).  Returns the exit code and ``(experiment, seed, device,
+    ResultSet)`` for every kept cell -- none after a backend abort.
+    """
+    experiments = all_experiments()
+    renderer = get_renderer(args.format_name)
+    collected: List = []  # JSON documents or HTML sections for stdout
+    failed: List[str] = []
+    kept: List[tuple] = []
+    with build_context(args) as orch:
+        for cell in cells:
+            if cell.banner is not None:
+                print(cell.banner, file=sys.stderr)
+            before = _stats_snapshot(orch)
+            try:
+                result_set = experiments[cell.experiment].run_result_set(
+                    cell.scale, orch
+                )
+            except BackendError as error:
+                # Backend failures (misconfiguration, a task that died
+                # on a worker) abort the whole run: later cells would
+                # hit the same wall.
+                print(f"error: {error}", file=sys.stderr)
+                return 1, []
+            except ExperimentError as error:
+                # A selection invalid for one experiment should not
+                # abort the rest of a multi-experiment run.
+                print(f"error: {cell.label}: {error}", file=sys.stderr)
+                failed.append(cell.label)
+                continue
+            result_set.title += cell.title_suffix
+            if cell.recipe is not None:
+                result_set.meta["recipe"] = cell.recipe
+            _stamp_provenance(result_set, orch, before)
+            if cell.keep:
+                # Only the report consumes these; retaining a whole
+                # paper-scale grid in memory otherwise is waste.
+                kept.append((
+                    cell.experiment, cell.scale.seed, cell.scale.device,
+                    result_set,
+                ))
+            if cell.out_dir is not None:
+                paths = renderer.write(result_set, cell.out_dir)
+                for path in paths:
+                    print(f"wrote {path}")
+                if not paths:
+                    print(f"{result_set.experiment}: nothing to write for "
+                          f"format {args.format_name!r}")
+            elif args.format_name == "text":
+                print("=" * 72)
+                print(result_set.render_text())
+                print()
+            elif args.format_name == "json":
+                collected.append(result_set.to_json_dict())
+            elif args.format_name == "html":
+                collected.append(result_set)
+            else:
+                print(renderer.render(result_set))
+        if args.format_name == "json" and not args.out:
+            # The shape follows the *request*: a bare object when a
+            # single cell was requested and succeeded, an array
+            # otherwise -- including the empty array when failures
+            # left no results.
+            document = (
+                collected[0] if len(cells) == 1 and collected else collected
             )
-    elif format_name == "text":
-        print("=" * 72)
-        print(result_set.render_text())
-        print()
-    elif format_name == "json":
-        json_documents.append(result_set.to_json_dict())
-    elif format_name == "html":
-        html_sections.append(result_set)
-    else:
-        print(renderer.render(result_set))
+            print(json.dumps(document, indent=2, sort_keys=True))
+        elif collected:
+            # One self-contained page stitching every section.
+            from repro.experiments.report import build_report
 
-
-def _flush_html_stdout(html_sections: List) -> None:
-    # One self-contained page stitching every requested experiment,
-    # mirroring _flush_json_stdout's single-document guarantee.
-    if not html_sections:
-        return
-    from repro.experiments.report import build_report
-
-    if len(html_sections) == 1:
-        section = html_sections[0]
-        print(build_report(
-            [section],
-            title=section.title,
-            subtitle=f"experiment: {section.experiment}",
-        ), end="")
-    else:
-        print(build_report(html_sections), end="")
-
-
-def _flush_json_stdout(json_documents: List[dict], requested: int) -> None:
-    # In json-to-stdout mode, stdout is always one parseable document.
-    # The shape follows the *request*: a bare object when a single
-    # result was requested and succeeded, an array otherwise --
-    # including the empty array when failures left no results.
-    document = (
-        json_documents[0]
-        if requested == 1 and json_documents
-        else json_documents
-    )
-    print(json.dumps(document, indent=2, sort_keys=True))
+            labels = {}
+            if len(collected) == 1:
+                labels = dict(
+                    title=collected[0].title,
+                    subtitle=f"experiment: {collected[0].experiment}",
+                )
+            print(build_report(collected, **labels), end="")
+        if failed:
+            print(f"{len(failed)} {noun} failed: {', '.join(failed)}",
+                  file=sys.stderr)
+        if orch.stats.submitted:
+            where = (
+                f"cache at {orch.cache.directory}"
+                if orch.cache is not None
+                else "cache disabled"
+            )
+            print(
+                f"[orchestration] {orch.stats.submitted} tasks: "
+                f"{orch.stats.hits} cache hits, "
+                f"{orch.stats.executed} executed "
+                f"(backend: {orch.backend.describe()}, {where})",
+                file=sys.stderr,
+            )
+    return (1 if failed else 0), kept
 
 
 def _scale_for(experiment, base: ExperimentScale, explicit: frozenset,
@@ -424,22 +460,16 @@ def _scale_for(experiment, base: ExperimentScale, explicit: frozenset,
     return replace(base, **trimmed)
 
 
-def _list_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments.runner list",
-        description="List every registered experiment.",
-    )
+def _list_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--format", dest="format_name", default="text",
         choices=("text", "json"),
         help="listing format: a fixed-width table or machine-readable "
              "JSON (default: text)",
     )
-    return parser
 
 
-def _cmd_list(argv) -> int:
-    args = _list_parser().parse_args(argv)
+def _cmd_list(parser, args) -> int:
     experiments = all_experiments()
     if args.format_name == "json":
         print(json.dumps(
@@ -472,8 +502,8 @@ def _cmd_list(argv) -> int:
     return 0
 
 
-def _cmd_run(argv) -> int:
-    args = _parse_run_args(argv)
+def _cmd_run(parser, args) -> int:
+    _validate_execution_flags(parser, args)
     experiments = all_experiments()
     names = args.names or list(experiments)
     unknown = [name for name in names if name not in experiments]
@@ -492,53 +522,21 @@ def _cmd_run(argv) -> int:
     try:
         base_scale = replace(ExperimentScale(), **overrides)
     except (KeyError, ValueError) as error:
-        # ExperimentScale validates module labels and minimum sizes.
+        # ExperimentScale validates module labels, sizes and banks.
         print(f"invalid scale: {error}", file=sys.stderr)
         return 1
     explicit = frozenset(overrides)
-
-    renderer = get_renderer(args.format_name)
-    out_dir: Optional[Path] = Path(args.out) if args.out else None
-
-    json_documents: List[dict] = []
-    html_sections: List = []
-    failed: List[str] = []
-    json_stdout = args.format_name == "json" and out_dir is None
-
-    with build_context(args) as orch:
-        for name in names:
-            experiment = experiments[name]
-            scale = _scale_for(experiment, base_scale, explicit, args.full)
-            before = _stats_snapshot(orch)
-            try:
-                result_set = experiment.run_result_set(scale, orch)
-            except BackendError as error:
-                # Backend failures (misconfiguration, a task that died
-                # on a worker) abort the whole run: later experiments
-                # would hit the same wall.
-                print(f"error: {error}", file=sys.stderr)
-                return 1
-            except ExperimentError as error:
-                # A selection invalid for one experiment should not
-                # abort the rest of a multi-experiment run.
-                print(f"error: {name}: {error}", file=sys.stderr)
-                failed.append(name)
-                continue
-            _stamp_provenance(result_set, orch, before)
-            _emit_result_set(
-                result_set, renderer, args.format_name, out_dir,
-                json_documents, html_sections,
-            )
-        if json_stdout:
-            _flush_json_stdout(json_documents, len(names))
-        _flush_html_stdout(html_sections)
-        if failed:
-            print(
-                f"{len(failed)} experiment(s) failed: {', '.join(failed)}",
-                file=sys.stderr,
-            )
-        _print_orchestration_stats(orch)
-    return 1 if failed else 0
+    out_dir = Path(args.out) if args.out else None
+    cells = [
+        _Cell(
+            name,
+            _scale_for(experiments[name], base_scale, explicit, args.full),
+            name,
+            out_dir,
+        )
+        for name in names
+    ]
+    return _run_cells(args, cells, "experiment(s)")[0]
 
 
 # ----------------------------------------------------------------------
@@ -546,14 +544,7 @@ def _cmd_run(argv) -> int:
 # ----------------------------------------------------------------------
 
 
-def _worker_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments.runner worker",
-        description="Claim and execute tasks from a shared job-queue "
-                    "directory until killed (or idle past --idle-timeout). "
-                    "Run as many of these as you have cores/hosts; results "
-                    "land in the shared result cache.",
-    )
+def _worker_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--queue-dir", default=None, metavar="DIR",
         help="job-queue directory (default: <cache-dir>/queue)",
@@ -593,14 +584,15 @@ def _worker_parser() -> argparse.ArgumentParser:
         "--quiet", action="store_true",
         help="suppress per-task log lines on stderr",
     )
-    return parser
 
 
-def _cmd_worker(argv) -> int:
+def _cmd_worker(parser, args) -> int:
     import signal
 
-    parser = _worker_parser()
-    args = parser.parse_args(argv)
+    # `not > 0` also rejects NaN; 0 would re-list the queue directory
+    # in a busy loop.
+    if not args.poll_interval > 0:
+        parser.error("--poll-interval must be positive")
     if args.heartbeat_interval < 0:
         parser.error("--heartbeat-interval must be >= 0 (0 disables)")
     # SIGTERM (the polite kill) should release the current lease and
@@ -651,20 +643,42 @@ def _cmd_worker(argv) -> int:
 
 
 # ----------------------------------------------------------------------
-# `queue`: observe a live sweep (status snapshots)
+# `queue status` and `profile`: read-only views of a sweep's cache
 # ----------------------------------------------------------------------
 
 
-def _queue_status_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments.runner queue status",
-        description="One-shot snapshot of a live sweep's job queue: "
-                    "pending/leased/failed task counts, results already "
-                    "in the cache, live vs stale workers (from their "
-                    "heartbeat files), per-worker activity, failure "
-                    "records, and rough throughput.  Read-only; run it "
-                    "as often as you like (e.g. under `watch`).",
+def _existing_cache_dir(cache_dir: Optional[str]) -> Optional[Path]:
+    """The CACHE_DIR argument, or None after an error if it is missing."""
+    path = Path(cache_dir) if cache_dir else default_cache_dir()
+    if path.exists():
+        return path
+    print(
+        f"error: no such cache directory: {path} (pass the "
+        "directory the sweep's --cache-dir points at as CACHE_DIR)",
+        file=sys.stderr,
     )
+    return None
+
+
+def _print_document(document: dict, as_json: bool, render) -> int:
+    """Print one JSON document or its rendered table; exit code 0."""
+    try:
+        if as_json:
+            print(json.dumps(document, indent=2, sort_keys=True))
+        else:
+            print(render(document))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # `queue status | head` is a perfectly good way to watch a
+        # sweep; a closed pipe is not an error worth a traceback.
+        try:
+            sys.stdout.close()
+        except BrokenPipeError:
+            pass
+    return 0
+
+
+def _queue_status_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "cache_dir", nargs="?", default=None, metavar="CACHE_DIR",
         help="the sweep's shared cache directory (default: "
@@ -692,73 +706,22 @@ def _queue_status_parser() -> argparse.ArgumentParser:
              "sizes) into a per-experiment table; see also `runner "
              "profile CACHE_DIR`",
     )
-    return parser
 
 
-def _cmd_queue_status(argv) -> int:
-    parser = _queue_status_parser()
-    args = parser.parse_args(argv)
+def _cmd_queue_status(parser, args) -> int:
     if args.stale_after <= 0:
         parser.error("--stale-after must be positive")
-    cache_dir = (
-        Path(args.cache_dir) if args.cache_dir else default_cache_dir()
-    )
-    if not cache_dir.exists():
-        print(
-            f"error: no such cache directory: {cache_dir} (pass the "
-            "directory the sweep's --cache-dir points at as CACHE_DIR)",
-            file=sys.stderr,
-        )
+    cache_dir = _existing_cache_dir(args.cache_dir)
+    if cache_dir is None:
         return 1
     status = queue_status(
         cache_dir, args.queue_dir, stale_after=args.stale_after,
         profile=args.profile,
     )
-    try:
-        if args.json:
-            print(json.dumps(status, indent=2, sort_keys=True))
-        else:
-            print(render_status(status))
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # `queue status | head` is a perfectly good way to watch a
-        # sweep; a closed pipe is not an error worth a traceback.
-        try:
-            sys.stdout.close()
-        except BrokenPipeError:
-            pass
-    return 0
+    return _print_document(status, args.json, render_status)
 
 
-def _cmd_queue(argv) -> int:
-    if argv and argv[0] == "status":
-        return _cmd_queue_status(argv[1:])
-    print(
-        "usage: python -m repro.experiments.runner queue status "
-        "[CACHE_DIR] [--queue-dir DIR] [--json] [--stale-after S] "
-        "[--profile]",
-        file=sys.stderr,
-    )
-    return 2
-
-
-# ----------------------------------------------------------------------
-# `profile`: aggregate per-task timing stamps from a result cache
-# ----------------------------------------------------------------------
-
-
-def _profile_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments.runner profile",
-        description="Aggregate the per-task timing stamps "
-                    "(setup/run/store seconds, result sizes, chunk "
-                    "sizes) that every executed task leaves in its "
-                    "cache entry's provenance, grouped per experiment "
-                    "with p50/p95 run times and the share of wall "
-                    "time spent outside task functions.  Read-only; "
-                    "entries predating the profiling layer simply "
-                    "don't count.",
-    )
+def _profile_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "cache_dir", nargs="?", default=None, metavar="CACHE_DIR",
         help="the sweep's result cache directory (default: "
@@ -769,28 +732,13 @@ def _profile_parser() -> argparse.ArgumentParser:
         help="emit the aggregation as one JSON document instead of "
              "the human-readable table",
     )
-    return parser
 
 
-def _cmd_profile(argv) -> int:
-    parser = _profile_parser()
-    args = parser.parse_args(argv)
-    cache_dir = (
-        Path(args.cache_dir) if args.cache_dir else default_cache_dir()
-    )
-    if not cache_dir.exists():
-        print(
-            f"error: no such cache directory: {cache_dir} (pass the "
-            "directory the sweep's --cache-dir points at as CACHE_DIR)",
-            file=sys.stderr,
-        )
+def _cmd_profile(parser, args) -> int:
+    cache_dir = _existing_cache_dir(args.cache_dir)
+    if cache_dir is None:
         return 1
-    profile = profile_cache(cache_dir)
-    if args.json:
-        print(json.dumps(profile, indent=2, sort_keys=True))
-    else:
-        print(render_profile(profile))
-    return 0
+    return _print_document(profile_cache(cache_dir), args.json, render_profile)
 
 
 # ----------------------------------------------------------------------
@@ -799,19 +747,7 @@ def _cmd_profile(argv) -> int:
 # ----------------------------------------------------------------------
 
 
-def _check_timing_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments.runner check-timing",
-        description="Run one simulation with command logging on and "
-                    "replay the implied DDR4 command stream against "
-                    "the declarative JEDEC timing rulebook (tRCD, "
-                    "tRAS, tRP, tRC, tRRD_S, tFAW, tRFC, tREFI), an "
-                    "oracle independent of the engine's scheduler.  "
-                    "Workloads are synthetic suite traces by default; "
-                    "--trace replays ramulator/DRAMsim-style request "
-                    "files (plain or gzip, streamed).  Exit code 1 "
-                    "when any violation is found.",
-    )
+def _check_timing_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--trace", action="append", default=None, metavar="FILE",
         help="request trace file (`<addr> <R|W> [cycle]` lines, plain "
@@ -880,10 +816,9 @@ def _check_timing_parser() -> argparse.ArgumentParser:
         help="emit one JSON document (simulation counters + the full "
              "violation report) instead of the text summary",
     )
-    return parser
 
 
-def _cmd_check_timing(argv) -> int:
+def _cmd_check_timing(parser, args) -> int:
     from repro.defenses import DEFENSE_CLASSES
     from repro.sim.config import SystemConfig
     from repro.sim.conformance import check_run
@@ -894,12 +829,10 @@ def _cmd_check_timing(argv) -> int:
         synthetic_traces,
     )
 
-    parser = _check_timing_parser()
-    args = parser.parse_args(argv)
-    if args.cores < 1:
-        parser.error("--cores must be positive")
-    if args.requests_per_core < 1:
-        parser.error("--requests-per-core must be positive")
+    if args.seed < 0:
+        parser.error("--seed must be >= 0")
+    if args.max_violations < 0:
+        parser.error("--max-violations must be >= 0")
     if args.hc_first is not None and args.hc_first < 1:
         parser.error("--hc-first must be positive")
     if args.hc_first is not None and args.defense is None:
@@ -927,13 +860,17 @@ def _cmd_check_timing(argv) -> int:
             f"{', '.join(sorted(DEFENSE_CLASSES))}"
         )
 
-    config = SystemConfig(
-        cores=args.cores,
-        rows_per_bank=args.rows_per_bank,
-        requests_per_core=args.requests_per_core,
-        timing=timing,
-        defense_epoch_ns=DEFENSE_EPOCH_NS if defense_name else None,
-    )
+    try:
+        # SystemConfig owns the cores, size and geometry rules.
+        config = SystemConfig(
+            cores=args.cores,
+            rows_per_bank=args.rows_per_bank,
+            requests_per_core=args.requests_per_core,
+            timing=timing,
+            defense_epoch_ns=DEFENSE_EPOCH_NS if defense_name else None,
+        )
+    except ValueError as error:
+        parser.error(str(error))
     if args.trace is not None:
         try:
             traces = readers_for_cores(
@@ -1014,22 +951,16 @@ def _cmd_check_timing(argv) -> int:
 # ----------------------------------------------------------------------
 
 
-def _recipe_list_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments.runner recipe list",
-        description="List every checked-in sweep recipe.",
-    )
+def _recipe_list_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--format", dest="format_name", default="text",
         choices=("text", "json"),
         help="listing format: a fixed-width table or the full manifests "
              "as JSON (default: text)",
     )
-    return parser
 
 
-def _cmd_recipe_list(argv) -> int:
-    args = _recipe_list_parser().parse_args(argv)
+def _cmd_recipe_list(parser, args) -> int:
     recipes = all_recipes()
     if args.format_name == "json":
         print(json.dumps(
@@ -1056,23 +987,15 @@ def _cmd_recipe_list(argv) -> int:
     return 0
 
 
-def _recipe_show_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments.runner recipe show",
-        description="Print one recipe's manifest as JSON (stdout), plus "
-                    "its seed matrix and per-seed artifact layout "
-                    "(stderr, so stdout stays parseable).",
-    )
+def _add_recipe_name(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "name", metavar="RECIPE",
         help="a registered recipe name (see `recipe list`) or a path "
              "to a manifest .json",
     )
-    return parser
 
 
-def _cmd_recipe_show(argv) -> int:
-    args = _recipe_show_parser().parse_args(argv)
+def _cmd_recipe_show(parser, args) -> int:
     try:
         recipe = get_recipe(args.name)
     except RecipeError as error:
@@ -1107,17 +1030,8 @@ def _cmd_recipe_show(argv) -> int:
     return 0
 
 
-def _recipe_run_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments.runner recipe run",
-        description="Run a declarative sweep recipe on any backend. "
-                    "Re-running resumes purely from cache state.",
-    )
-    parser.add_argument(
-        "name", metavar="RECIPE",
-        help="a registered recipe name (see `recipe list`) or a path "
-             "to a manifest .json",
-    )
+def _recipe_run_flags(parser: argparse.ArgumentParser) -> None:
+    _add_recipe_name(parser)
     parser.add_argument(
         "--smoke", action="store_true",
         help="apply the recipe's smoke_overrides (tiny scale, used by "
@@ -1131,12 +1045,9 @@ def _recipe_run_parser() -> argparse.ArgumentParser:
     )
     _add_execution_flags(parser)
     _add_render_flags(parser)
-    return parser
 
 
-def _cmd_recipe_run(argv) -> int:
-    parser = _recipe_run_parser()
-    args = parser.parse_args(argv)
+def _cmd_recipe_run(parser, args) -> int:
     _validate_execution_flags(parser, args)
     if args.report and args.out is None:
         parser.error("--report requires --out (the report lands at "
@@ -1150,67 +1061,29 @@ def _cmd_recipe_run(argv) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 1
 
-    renderer = get_renderer(args.format_name)
-    out_dir: Optional[Path] = Path(args.out) if args.out else None
+    out_dir = Path(args.out) if args.out else None
+    cells = []
+    for experiment_name, seed, scale in runs:
+        label = f"{experiment_name}@seed{seed}"
+        suffix = ""
+        if scale.device is not None:
+            label = f"{label}/{scale.device}"
+            suffix = f" [{scale.device}]"
+        cells.append(_Cell(
+            experiment_name,
+            scale,
+            label,
+            None if out_dir is None
+            else _recipe_out_dir(out_dir, recipe, seed, device=scale.device),
+            banner=f"[recipe {recipe.name} v{recipe.version}] {label}",
+            title_suffix=suffix,
+            recipe=dict(name=recipe.name, version=recipe.version,
+                        seed=seed, smoke=args.smoke),
+            keep=args.report,
+        ))
+    code, completed = _run_cells(args, cells, "recipe cell(s)")
 
-    experiments = all_experiments()
-    json_documents: List[dict] = []
-    html_sections: List = []
-    json_stdout = args.format_name == "json" and out_dir is None
-    failed: List[str] = []
-    completed: List[tuple] = []  # (experiment, seed, device, ResultSet)
-
-    with build_context(args) as orch:
-        for experiment_name, seed, scale in runs:
-            cell = f"{experiment_name}@seed{seed}"
-            if scale.device is not None:
-                cell = f"{cell}/{scale.device}"
-            print(f"[recipe {recipe.name} v{recipe.version}] {cell}",
-                  file=sys.stderr)
-            before = _stats_snapshot(orch)
-            try:
-                result_set = experiments[experiment_name].run_result_set(
-                    scale, orch
-                )
-            except BackendError as error:
-                print(f"error: {error}", file=sys.stderr)
-                return 1
-            except ExperimentError as error:
-                print(f"error: {cell}: {error}", file=sys.stderr)
-                failed.append(cell)
-                continue
-            if scale.device is not None:
-                result_set.title = f"{result_set.title} [{scale.device}]"
-            result_set.meta["recipe"] = {
-                "name": recipe.name,
-                "version": recipe.version,
-                "seed": seed,
-                "smoke": args.smoke,
-            }
-            _stamp_provenance(result_set, orch, before)
-            if args.report:
-                # Only the report consumes these; retaining a whole
-                # paper-scale grid in memory otherwise is waste.
-                completed.append((experiment_name, seed, scale.device, result_set))
-            _emit_result_set(
-                result_set,
-                renderer,
-                args.format_name,
-                None if out_dir is None
-                else _recipe_out_dir(out_dir, recipe, seed, device=scale.device),
-                json_documents, html_sections,
-            )
-        if json_stdout:
-            _flush_json_stdout(json_documents, len(runs))
-        _flush_html_stdout(html_sections)
-        if failed:
-            print(
-                f"{len(failed)} recipe cell(s) failed: {', '.join(failed)}",
-                file=sys.stderr,
-            )
-        _print_orchestration_stats(orch)
-
-    if args.report and completed:
+    if completed:
         from repro.experiments.aggregate import AggregationError
 
         try:
@@ -1229,7 +1102,7 @@ def _cmd_recipe_run(argv) -> int:
             )
             return 1
         print(f"wrote {path}")
-    return 1 if failed else 0
+    return code
 
 
 # ----------------------------------------------------------------------
@@ -1237,16 +1110,7 @@ def _cmd_recipe_run(argv) -> int:
 # ----------------------------------------------------------------------
 
 
-def _report_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments.runner report",
-        description="Stitch ResultSet JSON artifacts (a run's --out "
-                    "tree, a recipe tree with seed*/ subdirectories, or "
-                    "a single artifact file) into one self-contained "
-                    "HTML report; seed-partitioned artifacts are "
-                    "aggregated with mean/stddev/min-max error bands. "
-                    "See REPORTS.md.",
-    )
+def _report_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "artifacts", metavar="ARTIFACTS",
         help="directory to scan recursively for ResultSet .json "
@@ -1267,17 +1131,15 @@ def _report_parser() -> argparse.ArgumentParser:
         help="render each seed's artifacts as separate sections "
              "instead of aggregating across seed*/ directories",
     )
-    return parser
 
 
-def _cmd_report(argv) -> int:
+def _cmd_report(parser, args) -> int:
     from repro.experiments.aggregate import (
         AggregationError,
         collect_report_sections,
     )
     from repro.experiments.report import build_report
 
-    args = _report_parser().parse_args(argv)
     root = Path(args.artifacts)
     if not root.exists():
         print(f"error: no such artifact path: {root}", file=sys.stderr)
@@ -1316,22 +1178,106 @@ def _cmd_report(argv) -> int:
     return 0
 
 
-def _cmd_recipe(argv) -> int:
-    if argv and argv[0] == "list":
-        return _cmd_recipe_list(argv[1:])
-    if argv and argv[0] == "show":
-        return _cmd_recipe_show(argv[1:])
-    if argv and argv[0] == "run":
-        return _cmd_recipe_run(argv[1:])
-    print(
-        "usage: python -m repro.experiments.runner recipe {list,show,run} ...",
-        file=sys.stderr,
+# ----------------------------------------------------------------------
+# The command table
+# ----------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Command:
+    """One leaf subcommand of the runner CLI."""
+
+    #: The words after the program name, e.g. ``("recipe", "run")``.
+    words: Tuple[str, ...]
+    #: The ``--help`` description.
+    description: str
+    add_flags: Callable[[argparse.ArgumentParser], None]
+    #: Called as ``handler(parser, args)``; returns the exit code.
+    handler: Callable[[argparse.ArgumentParser, argparse.Namespace], int]
+
+    def parser(self) -> argparse.ArgumentParser:
+        parser = argparse.ArgumentParser(
+            prog=" ".join((_PROG,) + self.words),
+            description=self.description,
+        )
+        self.add_flags(parser)
+        return parser
+
+
+#: Every subcommand, keyed by its words, in ``--help-all`` order.
+COMMANDS = {command.words: command for command in (
+    Command(("list",), "List every registered experiment.",
+            _list_flags, _cmd_list),
+    Command(("run",), "Regenerate the paper's figures and tables.",
+            _run_flags, _cmd_run),
+    Command(("recipe", "list"), "List every checked-in sweep recipe.",
+            _recipe_list_flags, _cmd_recipe_list),
+    Command(("recipe", "show"),
+            "Print one recipe's manifest as JSON (stdout), plus its seed "
+            "matrix and per-seed artifact layout (stderr, so stdout stays "
+            "parseable).",
+            _add_recipe_name, _cmd_recipe_show),
+    Command(("recipe", "run"),
+            "Run a declarative sweep recipe on any backend. Re-running "
+            "resumes purely from cache state.",
+            _recipe_run_flags, _cmd_recipe_run),
+    Command(("worker",),
+            "Claim and execute tasks from a shared job-queue directory "
+            "until killed (or idle past --idle-timeout). Run as many of "
+            "these as you have cores/hosts; results land in the shared "
+            "result cache.",
+            _worker_flags, _cmd_worker),
+    Command(("queue", "status"),
+            "One-shot snapshot of a live sweep's job queue: pending/leased/"
+            "failed task counts, results already in the cache, live vs "
+            "stale workers (from their heartbeat files), per-worker "
+            "activity, failure records, and rough throughput.  Read-only; "
+            "run it as often as you like (e.g. under `watch`).",
+            _queue_status_flags, _cmd_queue_status),
+    Command(("profile",),
+            "Aggregate the per-task timing stamps (setup/run/store "
+            "seconds, result sizes, chunk sizes) that every executed task "
+            "leaves in its cache entry's provenance, grouped per "
+            "experiment with p50/p95 run times and the share of wall time "
+            "spent outside task functions.  Read-only; entries predating "
+            "the profiling layer simply don't count.",
+            _profile_flags, _cmd_profile),
+    Command(("report",),
+            "Stitch ResultSet JSON artifacts (a run's --out tree, a recipe "
+            "tree with seed*/ subdirectories, or a single artifact file) "
+            "into one self-contained HTML report; seed-partitioned "
+            "artifacts are aggregated with mean/stddev/min-max error "
+            "bands. See REPORTS.md.",
+            _report_flags, _cmd_report),
+    Command(("check-timing",),
+            "Run one simulation with command logging on and replay the "
+            "implied DDR4 command stream against the declarative JEDEC "
+            "timing rulebook (tRCD, tRAS, tRP, tRC, tRRD_S, tFAW, tRFC, "
+            "tREFI), an oracle independent of the engine's scheduler.  "
+            "Workloads are synthetic suite traces by default; --trace "
+            "replays ramulator/DRAMsim-style request files (plain or "
+            "gzip, streamed).  Exit code 1 when any violation is found.",
+            _check_timing_flags, _cmd_check_timing),
+)}
+
+
+def _usage(group: Tuple[str, ...] = ()) -> str:
+    """The usage line of the top level or of a verb group.
+
+    ``queue``'s line is written out: it names its one verb's flags.
+    """
+    if group == ("queue",):
+        return (f"usage: {_PROG} queue status [CACHE_DIR] [--queue-dir DIR] "
+                "[--json] [--stale-after S] [--profile]")
+    verbs = dict.fromkeys(
+        words[len(group)]
+        for words in COMMANDS
+        if words[:len(group)] == group and len(words) > len(group)
     )
-    return 2
+    return f"usage: {' '.join((_PROG,) + group)} {{{','.join(verbs)}}} ..."
 
 
-_TOP_LEVEL_HELP = """\
-usage: python -m repro.experiments.runner {list,run,recipe,worker,queue,profile,report,check-timing} ...
+_TOP_LEVEL_HELP = _usage() + """
 
 subcommands:
   list    enumerate every registered experiment (--format text|json)
@@ -1366,21 +1312,6 @@ queue/worker model, and the cache.
 """
 
 
-#: Every subcommand's parser builder, in ``--help-all`` order.
-PARSERS = (
-    _list_parser,
-    _run_parser,
-    _recipe_list_parser,
-    _recipe_show_parser,
-    _recipe_run_parser,
-    _worker_parser,
-    _queue_status_parser,
-    _profile_parser,
-    _report_parser,
-    _check_timing_parser,
-)
-
-
 def help_all_text() -> str:
     """Every subcommand's ``--help``, as one deterministic document.
 
@@ -1396,9 +1327,9 @@ def help_all_text() -> str:
     os.environ["COLUMNS"] = "78"
     try:
         sections = [_TOP_LEVEL_HELP]
-        for build in PARSERS:
+        for command in COMMANDS.values():
             sections.append("=" * 72 + "\n")
-            sections.append(build().format_help())
+            sections.append(command.parser().format_help())
     finally:
         if saved is None:
             os.environ.pop("COLUMNS", None)
@@ -1415,24 +1346,22 @@ def main(argv=None) -> int:
     if argv and argv[0] == "--help-all":
         print(help_all_text(), end="")
         return 0
-    if argv and argv[0] == "list":
-        return _cmd_list(argv[1:])
-    if argv and argv[0] == "recipe":
-        return _cmd_recipe(argv[1:])
-    if argv and argv[0] == "worker":
-        return _cmd_worker(argv[1:])
-    if argv and argv[0] == "queue":
-        return _cmd_queue(argv[1:])
-    if argv and argv[0] == "profile":
-        return _cmd_profile(argv[1:])
-    if argv and argv[0] == "report":
-        return _cmd_report(argv[1:])
-    if argv and argv[0] == "check-timing":
-        return _cmd_check_timing(argv[1:])
-    if argv and argv[0] == "run":
-        argv = argv[1:]
-    # Bare experiment names (the pre-registry CLI) imply `run`.
-    return _cmd_run(argv)
+    words = next(
+        (words for words in COMMANDS if tuple(argv[:len(words)]) == words),
+        None,
+    )
+    if words is None and argv and argv[0] in {
+        group[0] for group in COMMANDS if len(group) > 1
+    }:
+        # A verb group (`recipe`, `queue`) without a known verb.
+        print(_usage((argv[0],)), file=sys.stderr)
+        return 2
+    if words is None:
+        # Bare experiment names (the pre-registry CLI) imply `run`.
+        words, argv = ("run",), ["run", *argv]
+    command = COMMANDS[words]
+    parser = command.parser()
+    return command.handler(parser, parser.parse_args(argv[len(words):]))
 
 
 if __name__ == "__main__":

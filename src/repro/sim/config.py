@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.dram.geometry import DramGeometry
 from repro.dram.timing import DDR4_3200, TimingParameters
 
 
@@ -39,8 +40,16 @@ class SystemConfig:
     defense_epoch_ns: float | None = None
 
     def __post_init__(self) -> None:
-        if self.cores < 1 or self.ranks < 1:
-            raise ValueError("cores and ranks must be positive")
+        if self.cores < 1:
+            raise ValueError("cores must be positive")
+        # The channel's organization follows DramGeometry's rules.
+        DramGeometry(
+            ranks=self.ranks,
+            bank_groups=self.bank_groups,
+            banks_per_group=self.banks_per_group,
+            rows_per_bank=self.rows_per_bank,
+            columns_per_row=self.columns_per_row,
+        )
         if self.column_cap < 1:
             raise ValueError("column cap must be positive")
         if self.mlp_per_core < 1:

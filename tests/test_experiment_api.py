@@ -302,10 +302,24 @@ class TestPaperRows:
                 del _CHARACTERIZATION_CACHE[key]
 
     def test_runner_flag_parses(self):
-        args = runner._parse_run_args(["fig5", "--paper-rows"])
+        args = runner.COMMANDS[("run",)].parser().parse_args(["fig5", "--paper-rows"])
         assert args.paper_rows is True
-        args = runner._parse_run_args(["fig5"])
+        args = runner.COMMANDS[("run",)].parser().parse_args(["fig5"])
         assert args.paper_rows is None
+
+
+class TestScaleValidation:
+    @pytest.mark.parametrize("overrides", [
+        {"seed": -1}, {"n_mixes": 0}, {"requests_per_core": 0},
+        {"banks": ()}, {"banks": (-1,)}, {"banks": (16,)},
+    ], ids=["seed", "n-mixes", "requests-per-core", "no-banks",
+            "negative-bank", "bank-past-rank"])
+    def test_out_of_range_fields_rejected(self, overrides):
+        with pytest.raises(ValueError):
+            ExperimentScale(**overrides)
+
+    def test_every_bank_of_a_rank_accepted(self):
+        assert ExperimentScale(banks=(0, 15)).banks == (0, 15)
 
 
 # ----------------------------------------------------------------------
@@ -471,7 +485,7 @@ class TestRunnerCli:
         assert full == base
 
     def test_scale_flag_parsing(self):
-        args = runner._parse_run_args(
+        args = runner.COMMANDS[("run",)].parser().parse_args(
             ["fig5", "--banks", "1,4", "--modules", "H1,S0",
              "--rows-per-bank", "512"]
         )
@@ -481,15 +495,15 @@ class TestRunnerCli:
 
     def test_malformed_banks_is_a_clean_parser_error(self, capsys):
         with pytest.raises(SystemExit):
-            runner._parse_run_args(["fig5", "--banks", "a"])
+            runner.COMMANDS[("run",)].parser().parse_args(["fig5", "--banks", "a"])
         assert "comma-separated integers" in capsys.readouterr().err
 
     def test_duplicate_banks_and_modules_are_parser_errors(self, capsys):
         with pytest.raises(SystemExit):
-            runner._parse_run_args(["fig5", "--banks", "1,1"])
+            runner.COMMANDS[("run",)].parser().parse_args(["fig5", "--banks", "1,1"])
         assert "duplicates" in capsys.readouterr().err
         with pytest.raises(SystemExit):
-            runner._parse_run_args(["fig5", "--modules", "S0,S0"])
+            runner.COMMANDS[("run",)].parser().parse_args(["fig5", "--modules", "S0,S0"])
         assert "duplicates" in capsys.readouterr().err
 
     def test_invalid_module_label_fails_cleanly(self, capsys):
@@ -499,6 +513,57 @@ class TestRunnerCli:
     def test_invalid_rows_per_bank_fails_cleanly(self, capsys):
         assert runner.main(["run", "sec64", "--rows-per-bank", "8"]) == 1
         assert "invalid scale" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["fig3", "--seed", "-1"], "seed must be >= 0, got -1"),
+        (["fig3", "--banks", "-1"], "bank -1 out of range [0, 16)"),
+        (["fig3", "--banks", "99"], "bank 99 out of range [0, 16)"),
+        (["fig12", "--n-mixes", "0"], "n_mixes must be positive"),
+        (["fig12", "--requests-per-core", "0"],
+         "requests_per_core must be positive"),
+    ], ids=["seed", "negative-bank", "bank-past-rank", "n-mixes",
+            "requests-per-core"])
+    def test_out_of_range_scale_is_one_line(self, argv, message, capsys):
+        assert runner.main(["run", *argv]) == 1
+        assert capsys.readouterr().err == f"invalid scale: {message}\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--seed", "-1"], "--seed must be >= 0"),
+        (["--max-violations", "-1"], "--max-violations must be >= 0"),
+        (["--rows-per-bank", "0"], "geometry dimensions must be positive"),
+        (["--cores", "0"], "cores must be positive"),
+        (["--requests-per-core", "0"], "requests_per_core must be positive"),
+    ], ids=["seed", "max-violations", "rows-per-bank", "cores",
+            "requests-per-core"])
+    def test_check_timing_rejects_out_of_range_inputs(
+        self, argv, message, capsys
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            runner.main(["check-timing", *argv])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == (
+            f"python -m repro.experiments.runner check-timing: error: "
+            f"{message}"
+        )
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("interval", ["-1", "0"])
+    def test_worker_poll_interval_must_be_positive(
+        self, interval, tmp_path, capsys
+    ):
+        # --idle-timeout bounds the run should the check ever go missing.
+        with pytest.raises(SystemExit) as exit_info:
+            runner.main([
+                "worker", "--cache-dir", str(tmp_path), "--quiet",
+                "--idle-timeout", "0.5", "--poll-interval", interval,
+            ])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].endswith(
+            "error: --poll-interval must be positive"
+        )
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("argv, message", [
         (["--gap-ns", "5"], "--gap-ns requires --trace"),

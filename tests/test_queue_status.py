@@ -9,10 +9,12 @@ fixed entry keys); regenerate after a deliberate change with
 diff.
 """
 
+import io
 import json
 import os
 import pickle
 import socket
+import sys
 import time
 from pathlib import Path
 
@@ -315,6 +317,25 @@ class TestQueueStatus:
     def test_cli_unknown_queue_verb_usage(self, capsys):
         assert runner.main(["queue", "frobnicate"]) == 2
         assert "queue status" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["queue", "status", "cache"], ["queue", "status", "cache", "--json"],
+        ["profile", "cache"], ["profile", "cache", "--json"],
+    ], ids=["status", "status-json", "profile", "profile-json"])
+    def test_cli_closed_stdout_is_not_an_error(self, argv, tmp_path,
+                                               monkeypatch):
+        """`runner profile CACHE | head -c 10` exits 0 once head has
+        gone, like `queue status`, instead of a BrokenPipeError
+        traceback."""
+
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError
+
+        monkeypatch.chdir(tmp_path)
+        synthetic_queue_state(tmp_path)
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert runner.main(argv) == 0
 
 
 # ----------------------------------------------------------------------

@@ -127,6 +127,13 @@ class TestRecipeValidation:
             recipe.scale(seed=0)
 
 
+    def test_negative_seed_surfaces_cleanly(self):
+        recipe = Recipe(name="x", version=1, description="",
+                        experiments=("fig3",), seeds=(-1,))
+        with pytest.raises(RecipeError, match="invalid scale: seed"):
+            recipe.runs()
+
+
 class TestManifestRoundTrip:
     def test_round_trip_exact(self):
         for recipe in all_recipes().values():
@@ -207,6 +214,18 @@ class TestRecipeCli:
                 "seed": seed, "smoke": False,
             }
             assert data["meta"]["scale"]["seed"] == seed
+
+    def test_recipe_run_negative_seed_is_one_line(self, tmp_path, capsys):
+        manifest = tmp_path / "negative.json"
+        manifest.write_text(json.dumps({
+            "format": 1, "name": "negative", "version": 1,
+            "experiments": ["fig3"], "seeds": [-1],
+        }))
+        code = runner.main(["recipe", "run", str(manifest), "--no-cache"])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: recipe negative: invalid scale: seed must be >= 0, got -1"
+        ]
 
     def test_recipe_run_unknown(self, capsys):
         assert runner.main(["recipe", "run", "nope"]) == 1

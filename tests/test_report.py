@@ -355,8 +355,8 @@ class TestHelpAll:
             assert fragment in out, fragment
 
     def test_every_flag_has_help_text(self):
-        for build in runner.PARSERS:
-            parser = build()
+        for command in runner.COMMANDS.values():
+            parser = command.parser()
             for action in parser._actions:
                 assert action.help, (
                     f"{parser.prog}: {action.dest} has no help text"

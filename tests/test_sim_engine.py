@@ -68,6 +68,11 @@ class TestSystemConfig:
             SystemConfig(cores=0)
         with pytest.raises(ValueError):
             SystemConfig(column_cap=0)
+        for geometry in (
+            {"rows_per_bank": 0}, {"columns_per_row": 0}, {"bank_groups": 0},
+        ):
+            with pytest.raises(ValueError):
+                SystemConfig(**geometry)
         # A negative epoch used to hang the run; 0 used to mean tREFW.
         for epoch_ns in (-1000.0, 0.0, float("nan")):
             with pytest.raises(ValueError):
